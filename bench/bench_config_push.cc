@@ -18,11 +18,11 @@ void ablation_incremental_push() {
                 "delta saving"});
 
   for (const std::size_t pods : {100u, 400u, 1600u}) {
-    Testbed::Options options;
+    core::TopologySpec options;
     options.nodes = std::max<std::size_t>(2, pods / 15);
-    options.services = std::max<std::size_t>(2, pods / 50);
-    options.pods_per_service = pods / options.services;
-    Testbed bed(options);
+    const std::size_t services = std::max<std::size_t>(2, pods / 50);
+    options.pods_per_service.assign(services, pods / services);
+    core::Topology bed(options);
     bed.build_istio();
     bed.build_canal();
 

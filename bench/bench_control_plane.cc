@@ -55,13 +55,12 @@ void fig14() {
   const sim::Duration kPodStart = sim::seconds(2);
   for (const std::size_t new_pods : {50u, 100u, 200u}) {
     auto make_bed = [] {
-      Testbed::Options options;
+      core::TopologySpec options;
       options.nodes = 20;
-      options.services = 10;
-      options.pods_per_service = 40;
-      return std::make_unique<Testbed>(options);
+      options.pods_per_service.assign(10, 40);
+      return std::make_unique<core::Topology>(options);
     };
-    auto create_pods = [&](Testbed& bed) {
+    auto create_pods = [&](core::Topology& bed) {
       std::vector<k8s::Pod*> fresh;
       for (std::size_t i = 0; i < new_pods; ++i) {
         fresh.push_back(
@@ -107,13 +106,14 @@ void fig14() {
 void fig15() {
   // Production shape (§2.2): pods:services ~ 2:1, pods:nodes ~ 15:1;
   // the gateway runs a handful of shared backends.
-  Testbed::Options options;
+  core::TopologySpec options;
   options.nodes = 4;
-  options.services = 30;
-  options.pods_per_service = 2;
+  options.pods_per_service.assign(30, 2);
   options.gateway_backends = 6;
-  Testbed bed(options);
-  bed.build_all();
+  core::Topology bed(options);
+  bed.build_istio();
+  bed.build_ambient();
+  bed.build_canal();
 
   auto total_bytes = [](const std::vector<k8s::ConfigTarget>& targets) {
     std::uint64_t total = 0;

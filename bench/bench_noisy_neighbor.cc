@@ -12,11 +12,11 @@ namespace canal::bench {
 namespace {
 
 void fig16() {
-  Testbed::Options options;
-  options.services = 4;
+  core::TopologySpec options;
+  options.pods_per_service.assign(4, 10);
   options.gateway_backends = 6;
   options.app_service_time = sim::microseconds(100);
-  Testbed bed(options);
+  core::Topology bed(options);
   bed.build_canal();
   for (auto* backend : bed.gateway->all_backends()) {
     backend->start_sampling(sim::seconds(1));
@@ -43,7 +43,7 @@ void fig16() {
   // the same replica cores as the injected load).
   sim::TimeSeries victim_latency_ms;
   sim::PeriodicTimer prober(bed.loop, sim::milliseconds(500), [&] {
-    mesh::RequestOptions opts = bed.request(false);
+    mesh::RequestOptions opts = request(bed, false);
     opts.dst_service = victim1;
     bed.canal->send_request(opts, [&](mesh::RequestResult r) {
       victim_latency_ms.record(bed.loop.now(),
@@ -54,7 +54,7 @@ void fig16() {
 
   std::uint64_t errors = 0;
   sim::PeriodicTimer error_prober(bed.loop, sim::milliseconds(500), [&] {
-    mesh::RequestOptions opts = bed.request(false);
+    mesh::RequestOptions opts = request(bed, false);
     opts.dst_service = victim2;
     bed.canal->send_request(opts, [&](mesh::RequestResult r) {
       if (!r.ok()) ++errors;

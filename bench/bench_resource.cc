@@ -13,11 +13,13 @@ namespace canal::bench {
 namespace {
 
 void fig5_fig13() {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.node_cores = 64;
-  Testbed bed(options);
-  bed.build_all();
+  core::Topology bed(options);
+  bed.build_istio();
+  bed.build_ambient();
+  bed.build_canal();
 
   Table fig13("Fig 5/13: mesh CPU cores used vs workload");
   fig13.header({"rps", "istio", "ambient", "canal (proxy)", "canal (total)",

@@ -16,10 +16,10 @@ void fig2() {
 
   double idle_latency = 0.0;
   for (const double target_util : {0.1, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95}) {
-    Testbed::Options options;
+    core::TopologySpec options;
     options.app_service_time = sim::microseconds(100);
     options.node_cores = 64;
-    Testbed bed(options);
+    core::Topology bed(options);
     mesh::IstioMesh::Config config;
     config.sidecar_cores_per_node = 2;
     bed.istio = std::make_unique<mesh::IstioMesh>(bed.loop, bed.cluster,

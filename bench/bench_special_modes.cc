@@ -20,14 +20,14 @@ void proxyless_vs_onnode() {
 
   // On-node-proxy Canal.
   {
-    Testbed bed;
+    core::Topology bed;
     bed.build_canal();
     sim::Histogram latency;
     const double cpu_before = bed.canal->user_cpu_core_seconds();
     int n = 0;
     for (int i = 0; i < 200; ++i) {
       bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
-        mesh::RequestOptions opts = bed.request(true);
+        mesh::RequestOptions opts = request(bed, true);
         bed.canal->send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) {
             latency.record(sim::to_microseconds(r.latency));
@@ -46,7 +46,7 @@ void proxyless_vs_onnode() {
 
   // Proxyless.
   for (const bool user_certs : {true, false}) {
-    Testbed bed;
+    core::Topology bed;
     core::GatewayConfig gateway_config;
     bed.gateway = std::make_unique<core::MeshGateway>(
         bed.loop, gateway_config, sim::Rng(51));
@@ -61,7 +61,7 @@ void proxyless_vs_onnode() {
     int n = 0;
     for (int i = 0; i < 200; ++i) {
       bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
-        mesh::RequestOptions opts = bed.request(true);
+        mesh::RequestOptions opts = request(bed, true);
         proxyless.send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) {
             latency.record(sim::to_microseconds(r.latency));
@@ -96,9 +96,9 @@ void keyless_latency() {
       {"customer IDC (keyless, cross region)", sim::milliseconds(15)},
   };
   for (const auto& mode : modes) {
-    Testbed::Options options;
+    core::TopologySpec options;
     options.app_service_time = sim::microseconds(100);
-    Testbed bed(options);
+    core::Topology bed(options);
     core::GatewayConfig gateway_config;
     gateway_config.replica_costs.crypto.key_server_one_way = mode.one_way;
     bed.gateway = std::make_unique<core::MeshGateway>(bed.loop, gateway_config,
@@ -116,7 +116,7 @@ void keyless_latency() {
     sim::Histogram latency;
     for (int i = 0; i < 100; ++i) {
       bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
-        mesh::RequestOptions opts = bed.request(true);
+        mesh::RequestOptions opts = request(bed, true);
         bed.canal->send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) latency.record(sim::to_microseconds(r.latency));
         });
@@ -133,9 +133,9 @@ void keyless_latency() {
 }
 
 void innocence_matrix() {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::milliseconds(1);
-  Testbed bed(options);
+  core::Topology bed(options);
   core::GatewayConfig gateway_config;
   bed.gateway = std::make_unique<core::MeshGateway>(bed.loop, gateway_config,
                                                     sim::Rng(71));

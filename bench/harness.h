@@ -1,12 +1,12 @@
-// Shared benchmark harness: the small-scale testbed of §5.1 (two worker
-// nodes, 15 pods each, 3 services) with all four dataplanes, open-loop
-// workload drivers, and table formatting for paper-style output.
+// Shared benchmark harness over core::Topology (the §5.1 testbed by
+// default): the standard client/request, open-loop workload drivers, and
+// table formatting for paper-style output.
 //
-// Concurrency: a Testbed owns its sim::EventLoop and every object hanging
+// Concurrency: a Topology owns its sim::EventLoop and every object hanging
 // off it, and the drivers below write only into result records the caller
-// passes in — there are no shared mutable report buffers. One Testbed per
+// passes in — there are no shared mutable report buffers. One Topology per
 // runner::RunSpec therefore runs safely on any thread; nothing here may
-// grow static or cross-testbed mutable state (see DESIGN.md §10).
+// grow static or cross-topology mutable state (see DESIGN.md §10).
 #pragma once
 
 #include <cstdio>
@@ -16,11 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "canal/canal_mesh.h"
-#include "canal/gateway.h"
-#include "mesh/ambient.h"
+#include "canal/topology.h"
 #include "mesh/dataplane.h"
-#include "mesh/istio.h"
 #include "sim/stats.h"
 #include "telemetry/registry.h"
 
@@ -80,131 +77,24 @@ inline std::string fmt_pct(double fraction) {
   return fmt("%.1f%%", fraction * 100.0);
 }
 
-/// The §5.1 testbed: worker nodes hosting app pods across a few services,
-/// with any of the four dataplanes attachable.
-struct Testbed {
-  struct Options {
-    std::size_t nodes = 2;
-    std::size_t services = 3;
-    std::size_t pods_per_service = 10;  // 2 nodes x 15 pods
-    std::size_t node_cores = 8;
-    sim::Duration app_service_time = sim::milliseconds(1);
-    std::size_t gateway_backends = 2;
-    /// Non-zero overrides for the canal gateway's capacity knobs — the
-    /// region-scale testbeds push two orders of magnitude more RPS per AZ
-    /// than the §5.1 defaults were sized for.
-    std::size_t gateway_replicas_per_backend = 0;
-    std::size_t gateway_replica_cores = 0;
-    std::size_t gateway_backends_per_service = 0;
-    std::uint64_t seed = 1;
-  };
+/// The bench's standard client: the first pod of the first service.
+inline k8s::Pod* client(core::Topology& bed) {
+  return bed.services.front()->endpoints.front();
+}
+/// The bench's standard target: the last service.
+inline net::ServiceId target_service(const core::Topology& bed) {
+  return bed.services.back()->id;
+}
 
-  /// Present only when the testbed owns its loop (the common case). The
-  /// sharded region harness instead hands in a partition loop shared by
-  /// every AZ-testbed hosted on that shard, so `loop` is a reference and
-  /// declared before the members constructed from it.
-  std::unique_ptr<sim::EventLoop> owned_loop_;
-  sim::EventLoop& loop;
-  k8s::Cluster cluster;
-  std::vector<k8s::Service*> services;
-  Options options;
-
-  std::unique_ptr<mesh::NoMesh> nomesh;
-  std::unique_ptr<mesh::IstioMesh> istio;
-  std::unique_ptr<mesh::AmbientMesh> ambient;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<core::CanalMesh> canal;
-  std::unique_ptr<crypto::KeyServer> key_server;
-
-  Testbed() : Testbed(Options{}) {}
-  explicit Testbed(Options opts)
-      : Testbed(std::make_unique<sim::EventLoop>(), nullptr, opts) {}
-  /// Builds the testbed on a caller-owned loop (sharded region mode).
-  Testbed(sim::EventLoop& external_loop, Options opts)
-      : Testbed(nullptr, &external_loop, opts) {}
-
- private:
-  Testbed(std::unique_ptr<sim::EventLoop> owned, sim::EventLoop* external,
-          Options opts)
-      : owned_loop_(std::move(owned)),
-        loop(owned_loop_ ? *owned_loop_ : *external),
-        cluster(loop, static_cast<net::TenantId>(1), sim::Rng(opts.seed)),
-        options(opts) {
-    for (std::size_t i = 0; i < opts.nodes; ++i) {
-      cluster.add_node(static_cast<net::AzId>(0), opts.node_cores);
-    }
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = opts.app_service_time;
-    profile.sigma = 0.05;
-    for (std::size_t s = 0; s < opts.services; ++s) {
-      k8s::Service& service =
-          cluster.add_service("service-" + std::to_string(s));
-      services.push_back(&service);
-      for (std::size_t p = 0; p < opts.pods_per_service; ++p) {
-        cluster.add_pod(service, profile)
-            .set_phase(k8s::PodPhase::kRunning);
-      }
-    }
-  }
-
- public:
-  void build_nomesh() {
-    nomesh = std::make_unique<mesh::NoMesh>(loop, cluster);
-  }
-  void build_istio() {
-    istio = std::make_unique<mesh::IstioMesh>(
-        loop, cluster, mesh::IstioMesh::Config{}, sim::Rng(options.seed + 1));
-    istio->install();
-  }
-  void build_ambient() {
-    ambient = std::make_unique<mesh::AmbientMesh>(
-        loop, cluster, mesh::AmbientMesh::Config{},
-        sim::Rng(options.seed + 2));
-    ambient->install();
-  }
-  void build_canal() {
-    core::GatewayConfig config;
-    if (options.gateway_replicas_per_backend > 0) {
-      config.replicas_per_backend = options.gateway_replicas_per_backend;
-    }
-    if (options.gateway_replica_cores > 0) {
-      config.replica_cores = options.gateway_replica_cores;
-    }
-    if (options.gateway_backends_per_service > 0) {
-      config.backends_per_service_local =
-          options.gateway_backends_per_service;
-    }
-    gateway =
-        std::make_unique<core::MeshGateway>(loop, config, sim::Rng(options.seed + 3));
-    gateway->add_az(options.gateway_backends);
-    key_server = std::make_unique<crypto::KeyServer>(
-        loop, static_cast<net::AzId>(0), 8, sim::Rng(options.seed + 4));
-    canal = std::make_unique<core::CanalMesh>(
-        loop, cluster, *gateway, core::CanalMesh::Config{},
-        sim::Rng(options.seed + 5));
-    canal->install();
-    canal->attach_key_server(static_cast<net::AzId>(0), key_server.get());
-  }
-  void build_all() {
-    build_nomesh();
-    build_istio();
-    build_ambient();
-    build_canal();
-  }
-
-  k8s::Pod* client() { return services.front()->endpoints.front(); }
-  net::ServiceId target_service() const { return services.back()->id; }
-
-  mesh::RequestOptions request(bool new_connection = true) {
-    mesh::RequestOptions opts;
-    opts.client = client();
-    opts.dst_service = target_service();
-    opts.path = "/api/items";
-    opts.new_connection = new_connection;
-    return opts;
-  }
-};
+inline mesh::RequestOptions request(core::Topology& bed,
+                                    bool new_connection = true) {
+  mesh::RequestOptions opts;
+  opts.client = client(bed);
+  opts.dst_service = target_service(bed);
+  opts.path = "/api/items";
+  opts.new_connection = new_connection;
+  return opts;
+}
 
 struct LoadResult {
   sim::Histogram latency_us;
@@ -234,7 +124,7 @@ struct LoadResult {
 /// decomposition); when null, tracing stays off and the hot path is
 /// identical to the untraced driver.
 inline LoadResult drive_open_loop(
-    Testbed& bed, mesh::MeshDataplane& mesh, double rps,
+    core::Topology& bed, mesh::MeshDataplane& mesh, double rps,
     sim::Duration duration, bool new_connections = false,
     telemetry::MetricsRegistry* registry = nullptr,
     const telemetry::MetricsRegistry::Labels& trace_labels = {}) {
@@ -256,7 +146,7 @@ inline LoadResult drive_open_loop(
     bed.loop.post_at(
         start + static_cast<sim::Duration>(i) * spacing,
         [&bed, &mesh, &result, new_connections, recorder] {
-          mesh::RequestOptions opts = bed.request(new_connections);
+          mesh::RequestOptions opts = request(bed, new_connections);
           opts.trace = recorder != nullptr;
           mesh.send_request(opts,
                             [&result, recorder](mesh::RequestResult r) {

@@ -2,7 +2,7 @@
 //
 // The paper's headline results are region-scale — thousands of VMs and
 // millions of RPS — which a single event loop cannot reach in reasonable
-// wall-clock. This harness instantiates one self-contained Testbed per AZ
+// wall-clock. This harness instantiates one self-contained Topology per AZ
 // (its own cluster, canal gateway, key server), hosts each AZ as a
 // ShardedSim domain, and drives pinned-flow open-loop load per AZ. A
 // cross-AZ slice of the load crosses domains through net::ShardChannel, so
@@ -100,7 +100,7 @@ struct AzStats {
 /// the per-request event count at the fastpath steady state (selfperf's
 /// ~16 events/request), which is what makes 1M RPS simulable at all.
 struct Generator {
-  Testbed* src_bed = nullptr;
+  core::Topology* src_bed = nullptr;
   mesh::MeshDataplane* src_mesh = nullptr;
   k8s::Pod* client = nullptr;
   net::ServiceId dst_service{};
@@ -115,7 +115,7 @@ struct Generator {
   // mesh at a pinned ingress pod, and the response rides reverse home.
   net::ShardChannel* forward = nullptr;
   net::ShardChannel* reverse = nullptr;
-  Testbed* dst_bed = nullptr;
+  core::Topology* dst_bed = nullptr;
   mesh::MeshDataplane* dst_mesh = nullptr;
   k8s::Pod* ingress = nullptr;
 };
@@ -206,25 +206,25 @@ inline RegionRun run_region(const RegionOptions& opts,
   sim::ShardedSim sim(partition, run.lookahead);
 
   // -- Per-AZ testbeds ------------------------------------------------------
-  std::vector<std::unique_ptr<Testbed>> beds;
+  std::vector<std::unique_ptr<core::Topology>> beds;
   beds.reserve(opts.azs);
+  core::GatewayConfig gateway_config;
+  gateway_config.replicas_per_backend = opts.gateway_replicas_per_backend;
+  gateway_config.replica_cores = opts.gateway_replica_cores;
+  gateway_config.backends_per_service_local =
+      opts.gateway_backends_per_service;
   for (std::size_t az = 0; az < opts.azs; ++az) {
-    Testbed::Options bed_opts;
-    bed_opts.nodes = opts.nodes_per_az;
-    bed_opts.services = opts.services_per_az;
-    bed_opts.pods_per_service = opts.pods_per_service;
-    bed_opts.node_cores = opts.node_cores;
-    bed_opts.app_service_time = opts.app_service_time;
-    bed_opts.gateway_backends = opts.gateway_backends;
-    bed_opts.gateway_replicas_per_backend =
-        opts.gateway_replicas_per_backend;
-    bed_opts.gateway_replica_cores = opts.gateway_replica_cores;
-    bed_opts.gateway_backends_per_service =
-        opts.gateway_backends_per_service;
-    bed_opts.seed = opts.seed * 9973 + az;
+    core::TopologySpec bed_spec;
+    bed_spec.nodes = opts.nodes_per_az;
+    bed_spec.pods_per_service.assign(opts.services_per_az,
+                                     opts.pods_per_service);
+    bed_spec.node_cores = opts.node_cores;
+    bed_spec.app_service_time = opts.app_service_time;
+    bed_spec.gateway_backends = opts.gateway_backends;
+    bed_spec.seed = opts.seed * 9973 + az;
     beds.push_back(
-        std::make_unique<Testbed>(sim.domain_loop(az), bed_opts));
-    beds.back()->build_canal();
+        std::make_unique<core::Topology>(sim.domain_loop(az), bed_spec));
+    beds.back()->build_canal({}, gateway_config);
   }
   run.vms = opts.azs * opts.nodes_per_az;
   run.pods = opts.azs * opts.services_per_az * opts.pods_per_service;
@@ -287,7 +287,7 @@ inline RegionRun run_region(const RegionOptions& opts,
   std::vector<Generator> generators;
   generators.reserve(opts.azs * opts.generators_per_az);
   for (std::size_t az = 0; az < opts.azs; ++az) {
-    Testbed& bed = *beds[az];
+    core::Topology& bed = *beds[az];
     const std::size_t services = bed.services.size();
     az_stats[az].intra_latency_us.reserve(
         (opts.generators_per_az - cross_generators) * per_generator_count);
@@ -313,7 +313,7 @@ inline RegionRun run_region(const RegionOptions& opts,
       g.stats = &az_stats[az];
       if (i < cross_generators && opts.azs > 1) {
         const std::size_t dst_az = (az + 1 + i % (opts.azs - 1)) % opts.azs;
-        Testbed& dst = *beds[dst_az];
+        core::Topology& dst = *beds[dst_az];
         g.forward = channels[az][dst_az].get();
         g.reverse = channels[dst_az][az].get();
         g.dst_bed = &dst;

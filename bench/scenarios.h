@@ -3,15 +3,15 @@
 // used to produce, re-expressed as self-contained runner scenarios.
 //
 // Each scenario function receives one runner::RunSpec and builds everything
-// it touches — Testbed (own sim::EventLoop), meshes, fault plans, metrics
-// registry — from that spec alone. Nothing is shared with sibling runs, so
-// the suite front-end (bench_suite.cc) can execute any subset on any number
-// of worker threads and reduce to byte-identical output.
+// it touches — core::Topology (own sim::EventLoop), meshes, fault plans,
+// metrics registry — from that spec alone. Nothing is shared with sibling
+// runs, so the suite front-end (bench_suite.cc) can execute any subset on
+// any number of worker threads and reduce to byte-identical output.
 //
-// Seeding convention: `spec.seed` feeds Testbed::Options::seed, and every
-// manually-built mesh derives its RNG from it with the same +1..+5 offsets
-// Testbed::build_* uses, so seed sweeps perturb all stochastic inputs
-// coherently. Seed 1 reproduces the committed BENCH_*.json base sections.
+// Seeding convention: `spec.seed` feeds core::TopologySpec::seed, and every
+// plane draws from it through the seed table in canal/topology.h, so seed
+// sweeps perturb all stochastic inputs coherently. Seed 1 reproduces the
+// committed BENCH_*.json base sections.
 #pragma once
 
 #include <algorithm>
@@ -54,24 +54,20 @@ namespace scenarios {
 // and does not change simulated timings).
 
 inline runner::RunResult latency_light(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);  // echo-style app
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant == "no-mesh") {
-    bed.build_nomesh();
-    mesh = bed.nomesh.get();
+    mesh = &bed.build_nomesh();
   } else if (spec.variant == "canal") {
-    bed.build_canal();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal();
   } else if (spec.variant == "ambient") {
-    bed.build_ambient();
-    mesh = bed.ambient.get();
+    mesh = &bed.build_ambient();
   } else if (spec.variant == "istio") {
-    bed.build_istio();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio();
   } else {
     throw std::runtime_error("latency_light: unknown variant " +
                              spec.variant);
@@ -85,7 +81,7 @@ inline runner::RunResult latency_light(const runner::RunSpec& spec) {
   const sim::TimePoint start = bed.loop.now();
   for (int i = 0; i < count; ++i) {
     bed.loop.post_at(start + i * sim::kSecond, [&] {
-      mesh::RequestOptions opts = bed.request(/*new_connection=*/false);
+      mesh::RequestOptions opts = request(bed, /*new_connection=*/false);
       opts.trace = true;
       mesh->send_request(opts, [&](mesh::RequestResult r) {
         if (r.trace) recorder.record(*r.trace);
@@ -105,10 +101,10 @@ inline runner::RunResult latency_light(const runner::RunSpec& spec) {
 // gateway hairpin and 0.7 ms key server are negligible vs 40-200 ms apps.
 
 inline runner::RunResult latency_bimodal(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::milliseconds(45);
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
   bed.build_canal();
 
   sim::Histogram latency_ms;
@@ -123,7 +119,7 @@ inline runner::RunResult latency_bimodal(const runner::RunSpec& spec) {
   const sim::TimePoint start = bed.loop.now();
   for (int i = 0; i < 2000; ++i) {
     bed.loop.schedule_at(start + i * sim::milliseconds(5), [&] {
-      mesh::RequestOptions opts = bed.request(true);
+      mesh::RequestOptions opts = request(bed, true);
       opts.dst_service = service.id;
       bed.canal->send_request(opts, [&](mesh::RequestResult r) {
         if (r.ok()) ++ok;
@@ -157,43 +153,31 @@ struct SweepPoint {
 };
 
 inline runner::RunResult throughput_knee(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.node_cores = 64;  // apps must not be the bottleneck
   options.seed = spec.seed;
-  Testbed bed(options);
+  options.gateway_backends = 1;
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant == "istio") {
     mesh::IstioMesh::Config config;
     config.sidecar_cores_per_node = 2;
-    bed.istio = std::make_unique<mesh::IstioMesh>(
-        bed.loop, bed.cluster, config, sim::Rng(options.seed + 1));
-    bed.istio->install();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio(config);
   } else if (spec.variant == "ambient") {
     mesh::AmbientMesh::Config config;
     config.ztunnel_cores = 1;
     config.waypoint_cores = 4;
-    bed.ambient = std::make_unique<mesh::AmbientMesh>(
-        bed.loop, bed.cluster, config, sim::Rng(options.seed + 2));
-    bed.ambient->install();
-    mesh = bed.ambient.get();
+    mesh = &bed.build_ambient(config);
   } else if (spec.variant == "canal") {
     core::GatewayConfig gateway_config;
     gateway_config.replicas_per_backend = 1;
     gateway_config.replica_cores = 2;
     gateway_config.backends_per_service_local = 1;
-    bed.gateway = std::make_unique<core::MeshGateway>(
-        bed.loop, gateway_config, sim::Rng(options.seed + 3));
-    bed.gateway->add_az(1);
     core::CanalMesh::Config canal_config;
     canal_config.onnode.cores = 1;
-    bed.canal = std::make_unique<core::CanalMesh>(
-        bed.loop, bed.cluster, *bed.gateway, canal_config,
-        sim::Rng(options.seed + 5));
-    bed.canal->install();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal(canal_config, gateway_config);
   } else {
     throw std::runtime_error("throughput_knee: unknown variant " +
                              spec.variant);
@@ -293,7 +277,8 @@ inline mesh::RetryPolicy fault_retry_policy(bool retries) {
 
 /// Open-loop driver over the retry layer, splitting results into the
 /// before/during/after windows of the fault timeline.
-inline FaultRun drive_with_faults(Testbed& bed, mesh::MeshDataplane& mesh,
+inline FaultRun drive_with_faults(core::Topology& bed,
+                                  mesh::MeshDataplane& mesh,
                                   const mesh::RetryPolicy& policy,
                                   bool new_connections, std::uint64_t seed,
                                   mesh::RetryBudget* budget = nullptr) {
@@ -309,7 +294,7 @@ inline FaultRun drive_with_faults(Testbed& bed, mesh::MeshDataplane& mesh,
     bed.loop.schedule_at(
         send_time, [&bed, &mesh, &result, &policy, &retry_rng, budget,
                     send_time, new_connections] {
-          mesh::RequestOptions opts = bed.request(new_connections);
+          mesh::RequestOptions opts = request(bed, new_connections);
           Window& window = result.at(send_time);
           ++window.issued;
           mesh.send_request_with_retries(
@@ -358,23 +343,19 @@ inline void fault_metrics(runner::RunResult& out, const FaultRun& run) {
 /// planes hold stale endpoint tables and need retries to mask the holes.
 inline runner::RunResult faults_podkill(const runner::RunSpec& spec) {
   const bool retries = spec.override_or("retries", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant.rfind("nomesh", 0) == 0) {
-    bed.build_nomesh();
-    mesh = bed.nomesh.get();
+    mesh = &bed.build_nomesh();
   } else if (spec.variant.rfind("istio", 0) == 0) {
-    bed.build_istio();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio();
   } else if (spec.variant.rfind("ambient", 0) == 0) {
-    bed.build_ambient();
-    mesh = bed.ambient.get();
+    mesh = &bed.build_ambient();
   } else if (spec.variant.rfind("canal", 0) == 0) {
-    bed.build_canal();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal();
   } else {
     throw std::runtime_error("faults_podkill: unknown variant " +
                              spec.variant);
@@ -407,9 +388,9 @@ inline runner::RunResult faults_podkill(const runner::RunSpec& spec) {
 inline runner::RunResult faults_gwcrash(const runner::RunSpec& spec) {
   const bool retries = spec.override_or("retries", 0) != 0;
   const bool with_monitor = spec.override_or("monitor", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
   bed.build_canal();
 
   sim::FaultPlan plan;
@@ -441,9 +422,9 @@ inline runner::RunResult faults_gwcrash(const runner::RunSpec& spec) {
 /// timeout (25 ms -> 504) recovers them, and retries then re-send.
 inline runner::RunResult faults_linkloss(const runner::RunSpec& spec) {
   const bool retries = spec.override_or("retries", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   sim::FaultPlan plan;
   plan.link_loss(detail::kFaultStart, detail::kFaultEnd, 0.2);
@@ -451,10 +432,10 @@ inline runner::RunResult faults_linkloss(const runner::RunSpec& spec) {
                           sim::milliseconds(2));
   mesh::NetworkProfile net;
   net.faults = &plan;
-  bed.nomesh = std::make_unique<mesh::NoMesh>(bed.loop, bed.cluster, net);
+  mesh::NoMesh& nomesh = bed.build_nomesh(net);
   mesh::RetryBudget budget(0.5, 10);
   const detail::FaultRun run = detail::drive_with_faults(
-      bed, *bed.nomesh, detail::fault_retry_policy(retries),
+      bed, nomesh, detail::fault_retry_policy(retries),
       /*new_connections=*/false, spec.seed, &budget);
 
   runner::RunResult result;
@@ -474,21 +455,18 @@ inline runner::RunResult faults_linkloss(const runner::RunSpec& spec) {
 // to the result (bench_suite --trace-out writes them out).
 
 inline runner::RunResult noisy_neighbor(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant == "canal") {
-    bed.build_canal();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal();
   } else if (spec.variant == "ambient") {
-    bed.build_ambient();
-    mesh = bed.ambient.get();
+    mesh = &bed.build_ambient();
   } else if (spec.variant == "istio") {
-    bed.build_istio();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio();
   } else {
     throw std::runtime_error("noisy_neighbor: unknown variant " +
                              spec.variant);
@@ -520,7 +498,7 @@ inline runner::RunResult noisy_neighbor(const runner::RunSpec& spec) {
           start + static_cast<sim::Duration>(i) * spacing,
           [&bed, mesh, &recorders, &sampler, traces, tenant,
            &request_index] {
-            mesh::RequestOptions opts = bed.request(false);
+            mesh::RequestOptions opts = request(bed, false);
             opts.tenant = tenant;
             opts.trace = true;
             // Head-based: the sampling decision is made when the request
@@ -578,11 +556,11 @@ inline runner::RunResult noisy_neighbor(const runner::RunSpec& spec) {
 
 inline runner::RunResult resilience_retry_storm(const runner::RunSpec& spec) {
   const bool breaker_on = spec.override_or("breaker", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.node_cores = 4;  // shared capacity the storm can actually exhaust
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
   bed.build_canal();
 
   if (breaker_on) {
@@ -627,7 +605,7 @@ inline runner::RunResult resilience_retry_storm(const runner::RunSpec& spec) {
           start + static_cast<sim::Duration>(i) * spacing;
       bed.loop.schedule_at(send_time, [&bed, &policy, &run, &rng, &budget,
                                        dst, tenant, send_time] {
-        mesh::RequestOptions opts = bed.request(false);
+        mesh::RequestOptions opts = request(bed, false);
         opts.dst_service = dst;
         opts.tenant = tenant;
         detail::Window& window = run.at(send_time);
@@ -696,10 +674,10 @@ inline runner::RunResult resilience_retry_storm(const runner::RunSpec& spec) {
 
 inline runner::RunResult resilience_qod(const runner::RunSpec& spec) {
   const bool ejection_on = spec.override_or("ejection", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   // The poisoned pod joins the target service before the mesh installs, so
   // every plane's endpoint pools include it.
@@ -749,7 +727,7 @@ inline runner::RunResult resilience_qod(const runner::RunSpec& spec) {
         start + static_cast<sim::Duration>(i) * spacing;
     bed.loop.post_at(send_time, [&bed, &policy, &retry_rng, &early, &late,
                                  start, send_time, detect_window] {
-      mesh::RequestOptions opts = bed.request(false);
+      mesh::RequestOptions opts = request(bed, false);
       Phase& phase =
           send_time - start < detect_window ? early : late;
       bed.canal->send_request_with_retries(
@@ -802,10 +780,10 @@ inline runner::RunResult resilience_qod(const runner::RunSpec& spec) {
 
 inline runner::RunResult resilience_ratelimit(const runner::RunSpec& spec) {
   const bool limit_on = spec.override_or("limit", 0) != 0;
-  Testbed::Options options;
+  core::TopologySpec options;
   options.app_service_time = sim::microseconds(100);
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
   bed.build_canal();
 
   constexpr int kTenants = 4;
@@ -841,7 +819,7 @@ inline runner::RunResult resilience_ratelimit(const runner::RunSpec& spec) {
       bed.loop.post_at(
           start + static_cast<sim::Duration>(i) * spacing,
           [&bed, &recorders, &policy, &retry_rng, &rate_limited, tenant] {
-            mesh::RequestOptions opts = bed.request(false);
+            mesh::RequestOptions opts = request(bed, false);
             opts.tenant = tenant;
             opts.trace = true;
             bed.canal->send_request_with_retries(
@@ -903,7 +881,8 @@ using FastpathProbe =
 /// Steady-state pinned-flow driver: cycles a small pool of pinned source
 /// ports so every flow after the first use of its port is a repeat request
 /// on an established connection (the fastpath cache's common case).
-inline SelfPerfCounters drive_pinned(Testbed& bed, mesh::MeshDataplane& mesh,
+inline SelfPerfCounters drive_pinned(core::Topology& bed,
+                                     mesh::MeshDataplane& mesh,
                                      double rps, sim::Duration duration,
                                      const FastpathProbe& probe) {
   constexpr std::uint16_t kPortBase = 50'000;
@@ -921,7 +900,7 @@ inline SelfPerfCounters drive_pinned(Testbed& bed, mesh::MeshDataplane& mesh,
     bed.loop.post_at(
         sim_start + static_cast<sim::Duration>(i) * spacing,
         [&bed, &mesh, &result, i] {
-          mesh::RequestOptions opts = bed.request(false);
+          mesh::RequestOptions opts = request(bed, false);
           opts.src_port =
               static_cast<std::uint16_t>(kPortBase + i % kPortPool);
           opts.new_connection = i < kPortPool;  // first use of each port
@@ -977,55 +956,43 @@ inline runner::RunResult selfperf(const runner::RunSpec& spec) {
       std::max(1, static_cast<int>(spec.override_or("repeat", 1.0)));
 
   const auto run_once = [&]() -> detail::SelfPerfCounters {
-    Testbed::Options options;
+    core::TopologySpec options;
     options.seed = spec.seed;
-    Testbed bed(options);
+    core::Topology bed(options);
     if (spec.variant == "nomesh") {
-      bed.build_nomesh();
-      return detail::drive_pinned(bed, *bed.nomesh, rps, duration, nullptr);
+      return detail::drive_pinned(bed, bed.build_nomesh(), rps, duration,
+                                  nullptr);
     }
     if (spec.variant == "istio") {
-      bed.build_istio();
-      auto* engine = bed.istio->sidecar_engine(bed.client()->id());
-      return detail::drive_pinned(bed, *bed.istio, rps, duration, [engine] {
+      mesh::IstioMesh& istio = bed.build_istio();
+      auto* engine = istio.sidecar_engine(client(bed)->id());
+      return detail::drive_pinned(bed, istio, rps, duration, [engine] {
         return std::make_pair(engine->fastpath_hits(),
                               engine->fastpath_misses());
       });
     }
     if (spec.variant == "ambient") {
-      bed.build_ambient();
-      auto* ztunnel = bed.ambient->ztunnel_engine(bed.client()->node());
-      auto* waypoint = bed.ambient->waypoint_engine(bed.target_service());
+      mesh::AmbientMesh& ambient = bed.build_ambient();
+      auto* ztunnel = ambient.ztunnel_engine(client(bed)->node());
+      auto* waypoint = ambient.waypoint_engine(target_service(bed));
       return detail::drive_pinned(
-          bed, *bed.ambient, rps, duration, [ztunnel, waypoint] {
+          bed, ambient, rps, duration, [ztunnel, waypoint] {
             return std::make_pair(
                 ztunnel->fastpath_hits() + waypoint->fastpath_hits(),
                 ztunnel->fastpath_misses() + waypoint->fastpath_misses());
           });
     }
-    if (spec.variant == "canal") {
-      bed.build_canal();
+    // Canal and proxyless share the gateway substrate; proxyless has no
+    // user-side proxies.
+    mesh::MeshDataplane* gateway_plane = nullptr;
+    if (spec.variant == "canal") gateway_plane = &bed.build_canal();
+    if (spec.variant == "proxyless") gateway_plane = &bed.build_proxyless();
+    if (gateway_plane != nullptr) {
       auto* gateway = bed.gateway.get();
-      return detail::drive_pinned(bed, *bed.canal, rps, duration,
+      return detail::drive_pinned(bed, *gateway_plane, rps, duration,
                                   [gateway] {
                                     return detail::sum_gateway(*gateway);
                                   });
-    }
-    if (spec.variant == "proxyless") {
-      // Proxyless shares the gateway substrate but has no user-side
-      // proxies.
-      core::GatewayConfig config;
-      auto gateway = std::make_unique<core::MeshGateway>(
-          bed.loop, config, sim::Rng(options.seed + 3));
-      gateway->add_az(bed.options.gateway_backends);
-      core::ProxylessMesh proxyless(bed.loop, bed.cluster, *gateway,
-                                    core::ProxylessMesh::Config{},
-                                    sim::Rng(options.seed + 5));
-      proxyless.install();
-      auto* gw = gateway.get();
-      return detail::drive_pinned(bed, proxyless, rps, duration, [gw] {
-        return detail::sum_gateway(*gw);
-      });
     }
     throw std::runtime_error("selfperf: unknown variant " + spec.variant);
   };
@@ -1174,20 +1141,17 @@ inline runner::RunResult region_scale(const runner::RunSpec& spec) {
 // canal O(gateway backends).
 
 inline runner::RunResult config_churn_storm(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant == "canal") {
-    bed.build_canal();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal();
   } else if (spec.variant == "ambient") {
-    bed.build_ambient();
-    mesh = bed.ambient.get();
+    mesh = &bed.build_ambient();
   } else if (spec.variant == "istio") {
-    bed.build_istio();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio();
   } else {
     throw std::runtime_error("config_churn_storm: unknown variant " +
                              spec.variant);
@@ -1253,17 +1217,15 @@ inline runner::RunResult config_churn_storm(const runner::RunSpec& spec) {
 // untouched — the cost shows up as makespan + distribution convergence.
 
 inline runner::RunResult cert_rotation_wave(const runner::RunSpec& spec) {
-  Testbed::Options options;
+  core::TopologySpec options;
   options.seed = spec.seed;
-  Testbed bed(options);
+  core::Topology bed(options);
 
   mesh::MeshDataplane* mesh = nullptr;
   if (spec.variant == "canal") {
-    bed.build_canal();
-    mesh = bed.canal.get();
+    mesh = &bed.build_canal();
   } else if (spec.variant == "istio") {
-    bed.build_istio();
-    mesh = bed.istio.get();
+    mesh = &bed.build_istio();
   } else {
     throw std::runtime_error("cert_rotation_wave: unknown variant " +
                              spec.variant);

@@ -155,12 +155,8 @@ void CanalMesh::finish_request(RequestState* st, int status) {
     --st->endpoint->active_requests;
   }
   const sim::Duration latency = loop_.now() - st->start;
-  if (st->backend != nullptr) {
-    st->backend->stats_for(st->opts.dst_service)
-        .on_latency(sim::to_microseconds(latency));
-    if (status >= 400) {
-      st->backend->stats_for(st->opts.dst_service).on_error(loop_.now());
-    }
+  if (st->backend != nullptr && status >= 400) {
+    st->backend->stats_for(st->opts.dst_service).on_error(loop_.now());
   }
   if (st->opts.close_after) {
     if (st->client_proxy) st->client_proxy->engine().close_connection(st->tuple);

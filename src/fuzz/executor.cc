@@ -12,6 +12,7 @@
 #include "canal/fault_injector.h"
 #include "canal/gateway.h"
 #include "canal/proxyless.h"
+#include "canal/topology.h"
 #include "crypto/accelerator.h"
 #include "crypto/cert.h"
 #include "crypto/keyserver.h"
@@ -39,35 +40,52 @@ namespace {
 /// exists.
 constexpr auto kUnknownService = static_cast<net::ServiceId>(9999);
 
-/// One plane's fully built simulated world. Every plane gets its own loop
-/// and cluster so CPU contention and RNG draws cannot couple planes; the
-/// build order below is identical for all planes, which keeps pod/service/
-/// backend identifiers aligned across them.
+/// Builds the shared topology spec of a scenario: every plane runs on the
+/// same core::Topology shape and seed table.
+core::TopologySpec topology_spec(const ScenarioSpec& s) {
+  core::TopologySpec spec;
+  spec.nodes = s.nodes;
+  spec.node_cores = s.node_cores;
+  spec.pods_per_service.assign(s.pods_per_service.begin(),
+                               s.pods_per_service.end());
+  spec.app_service_time = s.app_service_time;
+  // Three backends with a shuffle-shard size of two, so extend-service
+  // events have somewhere to extend to.
+  spec.gateway_backends = 3;
+  spec.seed = s.seed;
+  return spec;
+}
+
+/// One plane's fully built simulated world. Every plane gets its own
+/// core::Topology (own loop and cluster) so CPU contention and RNG draws
+/// cannot couple planes; Topology builds every plane's cluster in the same
+/// order, which keeps pod/service/backend identifiers aligned across them.
 struct World {
   World(const ScenarioSpec& s, std::size_t plane_idx)
       : spec(s),
         plane_index(plane_idx),
-        cluster(loop, static_cast<net::TenantId>(1), sim::Rng(s.seed)),
+        topology(topology_spec(s)),
+        loop(topology.loop),
+        cluster(topology.cluster),
+        services(topology.services),
+        app_profile(topology.app_profile()),
         retry_rng(s.seed + 97),
         rotation_rng(s.seed + 11),
-        sampler(kTraceSampleRate, s.seed) {}
+        sampler(kTraceSampleRate, s.seed) {
+    for (std::size_t i = 0; i < services.size(); ++i) {
+      service_index[services[i]->id] = static_cast<int>(i);
+    }
+  }
 
   const ScenarioSpec& spec;
   std::size_t plane_index;
-  sim::EventLoop loop;
-  k8s::Cluster cluster;
-  std::vector<k8s::Service*> services;
-  /// Address must stay stable: every NetworkProfile points at this plan
-  /// before it is populated.
+  /// Address must stay stable and outlive the planes: every
+  /// NetworkProfile points at this plan before it is populated.
   sim::FaultPlan plan;
-
-  std::unique_ptr<mesh::NoMesh> nomesh;
-  std::unique_ptr<mesh::IstioMesh> istio;
-  std::unique_ptr<mesh::AmbientMesh> ambient;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<crypto::KeyServer> key_server;
-  std::unique_ptr<core::CanalMesh> canal;
-  std::unique_ptr<core::ProxylessMesh> proxyless;
+  core::Topology topology;
+  sim::EventLoop& loop;
+  k8s::Cluster& cluster;
+  const std::vector<k8s::Service*>& services;
   std::unique_ptr<core::FaultInjector> injector;
 
   mesh::MeshDataplane* plane = nullptr;
@@ -109,7 +127,7 @@ struct World {
     return plane_index != kProxyless;
   }
   [[nodiscard]] bool has_gateway() const noexcept {
-    return gateway != nullptr;
+    return topology.gateway != nullptr;
   }
 };
 
@@ -119,88 +137,36 @@ void violate(PlaneResult& result, std::string detail) {
 
 // --- world construction ---------------------------------------------------
 
-void build_topology(World& w) {
-  for (std::uint32_t n = 0; n < w.spec.nodes; ++n) {
-    w.cluster.add_node(static_cast<net::AzId>(0), w.spec.node_cores);
-  }
-  w.app_profile.fast_fraction = 1.0;
-  w.app_profile.fast_service_mean = w.spec.app_service_time;
-  w.app_profile.sigma = 0.05;
-  for (std::size_t s = 0; s < w.spec.service_count(); ++s) {
-    k8s::Service& service =
-        w.cluster.add_service("service-" + std::to_string(s));
-    w.services.push_back(&service);
-    w.service_index[service.id] = static_cast<int>(s);
-    for (std::uint32_t p = 0; p < w.spec.pods_per_service[s]; ++p) {
-      w.cluster.add_pod(service, w.app_profile)
-          .set_phase(k8s::PodPhase::kRunning);
-    }
-  }
-}
-
-void build_gateway(World& w) {
-  core::GatewayConfig config;
-  config.network.faults = &w.plan;
-  w.gateway = std::make_unique<core::MeshGateway>(w.loop, config,
-                                                  sim::Rng(w.spec.seed + 3));
-  // Three backends with a shuffle-shard size of two, so extend-service
-  // events have somewhere to extend to.
-  w.gateway->add_az(3);
-}
-
-void build_plane(World& w) {
-  const std::uint64_t seed = w.spec.seed;
+/// Builds the world's plane on its topology, with every network profile
+/// (the gateway's too) pointing at the world's fault plan.
+mesh::MeshDataplane& faulted_plane(World& w) {
+  core::Topology& t = w.topology;
+  mesh::NetworkProfile net;
+  net.faults = &w.plan;
+  core::GatewayConfig gateway;
+  gateway.network = net;
   switch (w.plane_index) {
-    case kNoMesh: {
-      mesh::NetworkProfile net;
-      net.faults = &w.plan;
-      w.nomesh = std::make_unique<mesh::NoMesh>(w.loop, w.cluster, net,
-                                                seed + 8);
-      w.plane = w.nomesh.get();
-      break;
-    }
+    case kNoMesh:
+      return t.build_nomesh(net);
     case kIstio: {
       mesh::IstioMesh::Config config;
-      config.network.faults = &w.plan;
-      w.istio = std::make_unique<mesh::IstioMesh>(w.loop, w.cluster, config,
-                                                  sim::Rng(seed + 1));
-      w.istio->install();
-      w.plane = w.istio.get();
-      break;
+      config.network = net;
+      return t.build_istio(config);
     }
     case kAmbient: {
       mesh::AmbientMesh::Config config;
-      config.network.faults = &w.plan;
-      w.ambient = std::make_unique<mesh::AmbientMesh>(w.loop, w.cluster,
-                                                      config,
-                                                      sim::Rng(seed + 2));
-      w.ambient->install();
-      w.plane = w.ambient.get();
-      break;
+      config.network = net;
+      return t.build_ambient(config);
     }
     case kCanal: {
-      build_gateway(w);
-      w.key_server = std::make_unique<crypto::KeyServer>(
-          w.loop, static_cast<net::AzId>(0), 8, sim::Rng(seed + 4));
       core::CanalMesh::Config config;
-      config.network.faults = &w.plan;
-      w.canal = std::make_unique<core::CanalMesh>(
-          w.loop, w.cluster, *w.gateway, config, sim::Rng(seed + 5));
-      w.canal->install();
-      w.canal->attach_key_server(static_cast<net::AzId>(0),
-                                 w.key_server.get());
-      w.plane = w.canal.get();
-      break;
+      config.network = net;
+      return t.build_canal(config, gateway);
     }
     default: {
-      build_gateway(w);
       core::ProxylessMesh::Config config;
-      config.network.faults = &w.plan;
-      w.proxyless = std::make_unique<core::ProxylessMesh>(
-          w.loop, w.cluster, *w.gateway, config, sim::Rng(seed + 7));
-      w.proxyless->install();
-      w.plane = w.proxyless.get();
-      break;
+      config.network = net;
+      return t.build_proxyless(config, gateway);
     }
   }
 }
@@ -359,7 +325,7 @@ void install_custom_routes(World& w) {
       break;  // L4-only: route tables are ignored by design
     case kIstio:
       for (const auto& pod : w.cluster.pods()) {
-        if (auto* engine = w.istio->sidecar_engine(pod->id())) {
+        if (auto* engine = w.topology.istio->sidecar_engine(pod->id())) {
           apply_custom_routes(w, *engine, /*install_canaries=*/false);
         }
       }
@@ -367,7 +333,8 @@ void install_custom_routes(World& w) {
     case kAmbient:
       for (std::uint32_t s = 0; s < w.spec.service_count(); ++s) {
         if (!has_custom_routes(w.spec, s)) continue;
-        if (auto* engine = w.ambient->waypoint_engine(w.services[s]->id)) {
+        if (auto* engine =
+                w.topology.ambient->waypoint_engine(w.services[s]->id)) {
           for (const auto& sp : w.spec.splits) {
             if (sp.service != s) continue;
             mesh::install_service_config(*engine,
@@ -378,7 +345,7 @@ void install_custom_routes(World& w) {
       }
       break;
     default:
-      for (core::GatewayBackend* backend : w.gateway->all_backends()) {
+      for (core::GatewayBackend* backend : w.topology.gateway->all_backends()) {
         apply_gateway_custom_routes(w, *backend);
       }
       break;
@@ -397,18 +364,18 @@ void refresh_service_everywhere(World& w, k8s::Service& service) {
       break;  // reads Service::ready_endpoints() directly
     case kIstio:
       for (const auto& pod : w.cluster.pods()) {
-        if (auto* engine = w.istio->sidecar_engine(pod->id())) {
+        if (auto* engine = w.topology.istio->sidecar_engine(pod->id())) {
           mesh::refresh_endpoints(*engine, service);
         }
       }
       break;
     case kAmbient: {
-      if (auto* engine = w.ambient->waypoint_engine(service.id)) {
+      if (auto* engine = w.topology.ambient->waypoint_engine(service.id)) {
         mesh::refresh_endpoints(*engine, service);
       }
       for (const auto& sp : w.spec.splits) {
         if (w.services[sp.canary_service] != &service) continue;
-        if (auto* owner = w.ambient->waypoint_engine(
+        if (auto* owner = w.topology.ambient->waypoint_engine(
                 w.services[sp.service]->id)) {
           mesh::refresh_endpoints(*owner, service);
         }
@@ -417,13 +384,13 @@ void refresh_service_everywhere(World& w, k8s::Service& service) {
     }
     default: {
       for (core::GatewayBackend* backend :
-           w.gateway->placement_of(service.id)) {
+           w.topology.gateway->placement_of(service.id)) {
         backend->refresh_endpoints(service);
       }
       for (const auto& sp : w.spec.splits) {
         if (w.services[sp.canary_service] != &service) continue;
         for (core::GatewayBackend* backend :
-             w.gateway->placement_of(w.services[sp.service]->id)) {
+             w.topology.gateway->placement_of(w.services[sp.service]->id)) {
           backend->refresh_endpoints(service);
         }
       }
@@ -442,19 +409,19 @@ void apply_add_pod(World& w, const EventSpec& ev) {
     case kNoMesh:
       break;
     case kIstio:
-      w.istio->add_sidecar(pod);
-      if (auto* engine = w.istio->sidecar_engine(pod.id())) {
+      w.topology.istio->add_sidecar(pod);
+      if (auto* engine = w.topology.istio->sidecar_engine(pod.id())) {
         apply_custom_routes(w, *engine, /*install_canaries=*/false);
       }
       break;
     case kAmbient:
-      w.ambient->on_pod_created(pod);
+      w.topology.ambient->on_pod_created(pod);
       break;
     case kCanal:
-      w.canal->on_pod_created(pod);
+      w.topology.canal->on_pod_created(pod);
       break;
     default:
-      w.proxyless->enis().allocate(pod);
+      w.topology.proxyless->enis().allocate(pod);
       break;
   }
   refresh_service_everywhere(w, service);
@@ -463,11 +430,11 @@ void apply_add_pod(World& w, const EventSpec& ev) {
 void apply_extend_service(World& w, const EventSpec& ev) {
   if (!w.has_gateway()) return;
   const net::ServiceId id = w.services[ev.service]->id;
-  for (core::GatewayBackend* backend : w.gateway->all_backends()) {
+  for (core::GatewayBackend* backend : w.topology.gateway->all_backends()) {
     if (backend->is_sandbox() || !backend->alive() || backend->hosts(id)) {
       continue;
     }
-    w.gateway->extend_service(id, *backend);
+    w.topology.gateway->extend_service(id, *backend);
     apply_gateway_custom_routes(w, *backend);
     return;
   }
@@ -476,14 +443,14 @@ void apply_extend_service(World& w, const EventSpec& ev) {
 void apply_retract_service(World& w, const EventSpec& ev) {
   if (!w.has_gateway()) return;
   const net::ServiceId id = w.services[ev.service]->id;
-  auto placement = w.gateway->placement_of(id);
+  auto placement = w.topology.gateway->placement_of(id);
   if (placement.size() < 2) return;  // keep the service resolvable
-  w.gateway->retract_service(id, *placement.back());
+  w.topology.gateway->retract_service(id, *placement.back());
 }
 
 void apply_drain_replica(World& w, const EventSpec& ev) {
   if (!w.has_gateway()) return;
-  auto backends = w.gateway->all_backends();
+  auto backends = w.topology.gateway->all_backends();
   if (backends.empty()) return;
   core::GatewayBackend& backend = *backends[ev.backend % backends.size()];
   if (ev.replica >= backend.replica_count()) return;
@@ -597,7 +564,7 @@ void schedule_events(World& w, PlaneResult& result) {
         break;
       case EventKind::kReplicaCrash: {
         if (!w.has_gateway()) break;
-        auto backends = w.gateway->all_backends();
+        auto backends = w.topology.gateway->all_backends();
         const core::GatewayBackend* backend =
             backends[ev.backend % backends.size()];
         const auto backend_id =
@@ -637,7 +604,7 @@ void schedule_events(World& w, PlaneResult& result) {
     }
   }
   w.injector = std::make_unique<core::FaultInjector>(w.loop, w.cluster,
-                                                     w.gateway.get());
+                                                     w.topology.gateway.get());
   w.injector->arm(w.plan);
 }
 
@@ -747,7 +714,7 @@ void check_sessions_of(PlaneResult& result, const std::string& where,
 
 void check_gateway_sessions(World& w, PlaneResult& result) {
   std::size_t index = 0;
-  for (core::GatewayBackend* backend : w.gateway->all_backends()) {
+  for (core::GatewayBackend* backend : w.topology.gateway->all_backends()) {
     for (std::size_t i = 0; i < backend->replica_count(); ++i) {
       check_sessions_of(result,
                         "gateway backend " + std::to_string(index) +
@@ -764,7 +731,7 @@ void check_session_drain(World& w, PlaneResult& result) {
       break;
     case kIstio:
       for (const auto& pod : w.cluster.pods()) {
-        if (auto* engine = w.istio->sidecar_engine(pod->id())) {
+        if (auto* engine = w.topology.istio->sidecar_engine(pod->id())) {
           check_sessions_of(result,
                             "sidecar of pod " +
                                 std::to_string(net::id_value(pod->id())),
@@ -775,14 +742,15 @@ void check_session_drain(World& w, PlaneResult& result) {
     case kAmbient: {
       std::size_t n = 0;
       for (const auto& node : w.cluster.nodes()) {
-        if (auto* engine = w.ambient->ztunnel_engine(*node)) {
+        if (auto* engine = w.topology.ambient->ztunnel_engine(*node)) {
           check_sessions_of(result, "ztunnel " + std::to_string(n),
                             engine->sessions().size());
         }
         ++n;
       }
       for (std::size_t s = 0; s < w.services.size(); ++s) {
-        if (auto* engine = w.ambient->waypoint_engine(w.services[s]->id)) {
+        if (auto* engine =
+                w.topology.ambient->waypoint_engine(w.services[s]->id)) {
           check_sessions_of(result, "waypoint " + std::to_string(s),
                             engine->sessions().size());
         }
@@ -792,7 +760,7 @@ void check_session_drain(World& w, PlaneResult& result) {
     case kCanal: {
       std::size_t n = 0;
       for (const auto& node : w.cluster.nodes()) {
-        if (auto* proxy = w.canal->proxy_for(*node)) {
+        if (auto* proxy = w.topology.canal->proxy_for(*node)) {
           check_sessions_of(result, "on-node proxy " + std::to_string(n),
                             proxy->engine().sessions().size());
         }
@@ -941,8 +909,7 @@ PlaneResult run_plane(const ScenarioSpec& spec, std::size_t plane_index) {
   PlaneResult result;
   result.plane = kPlanes[plane_index];
 
-  build_topology(w);
-  build_plane(w);
+  w.plane = &faulted_plane(w);
   install_custom_routes(w);
   enable_resilience(w);
   w.recorders = telemetry::TenantRecorderSet(

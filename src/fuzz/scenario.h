@@ -133,7 +133,7 @@ struct ResilienceSpec {
 
 /// One complete scenario program.
 struct ScenarioSpec {
-  std::uint64_t seed = 1;    ///< plane RNG seed (Testbed convention)
+  std::uint64_t seed = 1;    ///< plane RNG seed (core::Topology seed table)
   std::uint32_t index = 0;   ///< campaign index this spec was generated at
   std::uint32_t nodes = 2;
   std::uint32_t node_cores = 8;

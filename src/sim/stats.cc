@@ -11,15 +11,6 @@ void Histogram::record(double value) {
   sorted_valid_ = false;
 }
 
-void Histogram::decimate() noexcept {
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < samples_.size(); i += 2) {
-    samples_[keep++] = samples_[i];
-  }
-  samples_.resize(keep);
-  sorted_valid_ = false;
-}
-
 void Histogram::clear() noexcept {
   samples_.clear();
   sorted_.clear();

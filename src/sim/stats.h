@@ -41,13 +41,6 @@ class Histogram {
     sorted_.reserve(n);
   }
 
-  /// Halves the sample set in place, keeping every second sample (oldest
-  /// first) and releasing no capacity — the compaction step for callers
-  /// that bound retention by deterministic decimation (see
-  /// telemetry::ServiceStats::on_latency). Purely positional, so results
-  /// stay reproducible across runs.
-  void decimate() noexcept;
-
   /// True when the sorted copy is current (no record() since the last
   /// order-statistic query). Exposed so tests can pin the caching
   /// behaviour documented above.

@@ -50,22 +50,6 @@ class ServiceStats {
   }
   void on_error(sim::TimePoint now) { errors_.record(now); }
 
-  /// Records one latency sample into a bounded, deterministically
-  /// decimated reservoir: exact until kLatencyCap samples, then every
-  /// second retained sample is dropped and the sampling stride doubles.
-  /// Memory is capped (no unbounded per-request retention over long runs)
-  /// and, past warm-up, recording never touches the heap — part of the
-  /// steady-state zero-allocation contract (DESIGN.md §14). Positional,
-  /// not randomized, so percentiles are reproducible across runs.
-  void on_latency(double latency_us) {
-    if ((latency_seq_++ & (latency_stride_ - 1)) != 0) return;
-    if (latency_us_.empty()) latency_us_.reserve(kLatencyCap);
-    if (latency_us_.count() >= kLatencyCap) {
-      latency_us_.decimate();
-      latency_stride_ <<= 1;
-    }
-    latency_us_.record(latency_us);
-  }
   void set_long_sessions(std::uint64_t n) { long_sessions_ = n; }
 
   [[nodiscard]] double rps(sim::TimePoint now) const { return rps_.rate(now); }
@@ -84,24 +68,15 @@ class ServiceStats {
   [[nodiscard]] std::uint64_t long_sessions() const noexcept {
     return long_sessions_;
   }
-  [[nodiscard]] const sim::Histogram& latency_us() const noexcept {
-    return latency_us_;
-  }
   [[nodiscard]] const sim::TimeSeries& rps_history() const noexcept {
     return history_;
   }
 
  private:
-  /// Latency reservoir bound: 32 KB of samples per (service, backend).
-  static constexpr std::size_t kLatencyCap = 4096;
-
   sim::RateMeter rps_;
   sim::RateMeter new_sessions_;
   sim::RateMeter errors_;
   sim::RateMeter https_requests_;
-  sim::Histogram latency_us_;
-  std::uint64_t latency_seq_ = 0;
-  std::uint64_t latency_stride_ = 1;  ///< power of two; doubles on decimate
   // Long retention: §6.3's HWHM analysis needs 24 h of pattern history.
   sim::TimeSeries history_{sim::hours(25)};
   sim::TimePoint last_history_sample_ = -sim::kSecond;

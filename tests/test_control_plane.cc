@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "canal/topology.h"
 #include "crypto/accelerator.h"
 #include "crypto/cert.h"
 #include "crypto/rotation.h"
@@ -250,18 +251,14 @@ TEST(ConfigPropagation, OverlappingPushSupersedesStaleEpoch) {
 // sidecar only at that sidecar's delivery time — never at issue time —
 // and mid-rollout the fleet genuinely disagrees (skew == 1).
 TEST(ConfigPropagation, MeshConfigAppliesOnlyAtDelivery) {
-  sim::EventLoop loop;
-  k8s::Cluster cluster(loop, static_cast<net::TenantId>(1), sim::Rng(7));
-  cluster.add_node(static_cast<net::AzId>(0), 8);
-  cluster.add_node(static_cast<net::AzId>(0), 8);
-  k8s::Service& service = cluster.add_service("s");
-  for (int i = 0; i < 4; ++i) {
-    cluster.add_pod(service, k8s::AppProfile{})
-        .set_phase(k8s::PodPhase::kRunning);
-  }
-  mesh::IstioMesh istio(loop, cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(8));
-  istio.install();
+  core::TopologySpec spec;
+  spec.pods_per_service = {4};
+  spec.seed = 7;
+  core::Topology topology(spec);
+  sim::EventLoop& loop = topology.loop;
+  const k8s::Cluster& cluster = topology.cluster;
+  const k8s::Service& service = *topology.services[0];
+  mesh::IstioMesh& istio = topology.build_istio();
 
   ConfigPropagation propagation(loop, ControlPlaneProfile{});
   std::vector<sim::TimePoint> apply_times;

@@ -13,9 +13,11 @@
 
 #include "canal/canal_mesh.h"
 #include "canal/gateway.h"
+#include "canal/topology.h"
 #include "mesh/dataplane.h"
 #include "mesh/istio.h"
 #include "proxy/engine.h"
+#include "tests/testutil.h"
 
 namespace canal {
 namespace {
@@ -159,31 +161,14 @@ TEST(FastpathEngine, L4FlowCachesAndInvalidatesOnEndpointDiff) {
 
 // ---- Istio dataplane: pinned flows hit through the client sidecar --------
 
-struct IstioBed {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(167)};
-  k8s::Service* frontend = nullptr;
-  k8s::Service* backend = nullptr;
-  std::unique_ptr<mesh::IstioMesh> istio;
-
-  IstioBed() {
-    cluster.add_node(static_cast<net::AzId>(0), 8);
-    cluster.add_node(static_cast<net::AzId>(0), 8);
-    frontend = &cluster.add_service("frontend");
-    backend = &cluster.add_service("backend");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = sim::milliseconds(1);
-    profile.sigma = 0.05;
-    for (int i = 0; i < 3; ++i) {
-      cluster.add_pod(*frontend, profile).set_phase(k8s::PodPhase::kRunning);
-      cluster.add_pod(*backend, profile).set_phase(k8s::PodPhase::kRunning);
-    }
-    istio = std::make_unique<mesh::IstioMesh>(loop, cluster,
-                                              mesh::IstioMesh::Config{},
-                                              sim::Rng(171));
-    istio->install();
+/// service-0 is the frontend (clients), service-1 the backend.
+struct IstioBed : core::Topology {
+  IstioBed() : core::Topology(testutil::frontend_backend_spec(167)) {
+    build_istio();
   }
+
+  k8s::Service* frontend = services[0];
+  k8s::Service* backend = services[1];
 
   mesh::RequestOptions pinned_request(bool first) {
     mesh::RequestOptions opts;

@@ -7,13 +7,11 @@
 #include <optional>
 #include <vector>
 
-#include "canal/canal_mesh.h"
 #include "canal/fault_injector.h"
-#include "canal/gateway.h"
-#include "mesh/dataplane.h"
-#include "mesh/istio.h"
+#include "canal/topology.h"
 #include "sim/fault.h"
 #include "telemetry/trace.h"
+#include "tests/testutil.h"
 
 namespace canal {
 namespace {
@@ -58,29 +56,14 @@ TEST(FaultPlan, KillPodForSchedulesCrashAndRestart) {
   EXPECT_FALSE(plan.empty());
 }
 
-// ---- Mesh testbed (mirrors tests/test_mesh.cc) ---------------------------
+// ---- Mesh testbed ---------------------------------------------------------
 
-struct MeshTestbed {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(167)};
-  k8s::Service* frontend = nullptr;
-  k8s::Service* backend = nullptr;
+/// service-0 is the frontend (clients), service-1 the backend.
+struct MeshTestbed : core::Topology {
+  MeshTestbed() : core::Topology(testutil::frontend_backend_spec(167)) {}
 
-  MeshTestbed() {
-    for (int i = 0; i < 2; ++i) {
-      cluster.add_node(static_cast<net::AzId>(0), 8);
-    }
-    frontend = &cluster.add_service("frontend");
-    backend = &cluster.add_service("backend");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = milliseconds(1);
-    profile.sigma = 0.05;
-    for (int i = 0; i < 3; ++i) {
-      cluster.add_pod(*frontend, profile).set_phase(k8s::PodPhase::kRunning);
-      cluster.add_pod(*backend, profile).set_phase(k8s::PodPhase::kRunning);
-    }
-  }
+  k8s::Service* frontend = services[0];
+  k8s::Service* backend = services[1];
 
   mesh::RequestOptions request_to_backend() {
     mesh::RequestOptions opts;
@@ -148,9 +131,7 @@ TEST(FaultInjector, RestartHookDelayedByStaleConfigWindow) {
 
 TEST(FaultInjector, StaleEndpoints503DuringOutageThenRecover) {
   MeshTestbed bed;
-  mesh::IstioMesh mesh(bed.loop, bed.cluster, mesh::IstioMesh::Config{},
-                       sim::Rng(31));
-  mesh.install();
+  mesh::IstioMesh& mesh = bed.build_istio();
   sim::FaultPlan plan;
   for (k8s::Pod* pod : bed.backend->endpoints) {
     plan.kill_pod_for(milliseconds(10), net::id_value(pod->id()),
@@ -181,9 +162,7 @@ TEST(FaultInjector, StaleEndpoints503DuringOutageThenRecover) {
 
 TEST(Retry, RetriesStale503sUntilLiveEndpoint) {
   MeshTestbed bed;
-  mesh::IstioMesh mesh(bed.loop, bed.cluster, mesh::IstioMesh::Config{},
-                       sim::Rng(31));
-  mesh.install();
+  mesh::IstioMesh& mesh = bed.build_istio();
   // Endpoints 0 and 1 die after install: round-robin picks them first.
   bed.backend->endpoints[0]->set_phase(k8s::PodPhase::kTerminated);
   bed.backend->endpoints[1]->set_phase(k8s::PodPhase::kTerminated);
@@ -208,7 +187,7 @@ TEST(Retry, RetriesStale503sUntilLiveEndpoint) {
 
 TEST(Retry, NonRetryableStatusesAreNotRetried) {
   MeshTestbed bed;
-  mesh::NoMesh mesh(bed.loop, bed.cluster);
+  mesh::NoMesh& mesh = bed.build_nomesh();
   mesh::RetryPolicy policy;
   policy.max_attempts = 5;
   sim::Rng rng(7);
@@ -232,7 +211,7 @@ TEST(Retry, PerTryTimeoutClassifiesDroppedRequestAs504) {
   plan.link_loss(0, sim::seconds(10), 1.0);
   mesh::NetworkProfile net;
   net.faults = &plan;
-  mesh::NoMesh mesh(bed.loop, bed.cluster, net);
+  mesh::NoMesh& mesh = bed.build_nomesh(net);
 
   mesh::RetryPolicy policy;
   policy.max_attempts = 1;
@@ -255,7 +234,7 @@ TEST(Retry, RecoversOnceLossWindowEnds) {
   plan.link_loss(0, milliseconds(40), 1.0);
   mesh::NetworkProfile net;
   net.faults = &plan;
-  mesh::NoMesh mesh(bed.loop, bed.cluster, net);
+  mesh::NoMesh& mesh = bed.build_nomesh(net);
 
   mesh::RetryPolicy policy;
   policy.max_attempts = 3;
@@ -281,7 +260,7 @@ TEST(Retry, ExhaustedAttemptsSurface504) {
   plan.link_loss(0, sim::seconds(10), 1.0);
   mesh::NetworkProfile net;
   net.faults = &plan;
-  mesh::NoMesh mesh(bed.loop, bed.cluster, net);
+  mesh::NoMesh& mesh = bed.build_nomesh(net);
 
   mesh::RetryPolicy policy;
   policy.max_attempts = 3;
@@ -301,7 +280,7 @@ TEST(Retry, BudgetCapsRetries) {
   plan.link_loss(0, sim::seconds(10), 1.0);
   mesh::NetworkProfile net;
   net.faults = &plan;
-  mesh::NoMesh mesh(bed.loop, bed.cluster, net);
+  mesh::NoMesh& mesh = bed.build_nomesh(net);
 
   mesh::RetryPolicy policy;
   policy.max_attempts = 5;
@@ -354,40 +333,16 @@ TEST(RetryBudget, AdmitsWithinRatioPlusBurst) {
 
 // ---- Gateway faults + health monitor -------------------------------------
 
-struct CanalTestbed {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(7), sim::Rng(263)};
-  core::GatewayConfig config;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<core::CanalMesh> canal;
-  std::unique_ptr<crypto::KeyServer> key_server;
-  k8s::Service* frontend = nullptr;
-  k8s::Service* backend_svc = nullptr;
-
-  CanalTestbed() {
-    config.backends_per_service_local = 2;
-    gateway = std::make_unique<core::MeshGateway>(loop, config, sim::Rng(269));
-    gateway->add_az(2);
-    cluster.add_node(static_cast<net::AzId>(0), 8);
-    frontend = &cluster.add_service("frontend");
-    backend_svc = &cluster.add_service("backend");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = milliseconds(1);
-    profile.sigma = 0.05;
-    for (int i = 0; i < 3; ++i) {
-      cluster.add_pod(*frontend, profile).set_phase(k8s::PodPhase::kRunning);
-      cluster.add_pod(*backend_svc, profile)
-          .set_phase(k8s::PodPhase::kRunning);
-    }
-    key_server = std::make_unique<crypto::KeyServer>(
-        loop, static_cast<net::AzId>(0), 8, sim::Rng(271));
-    canal = std::make_unique<core::CanalMesh>(loop, cluster, *gateway,
-                                              core::CanalMesh::Config{},
-                                              sim::Rng(277));
-    canal->install();
-    canal->attach_key_server(static_cast<net::AzId>(0), key_server.get());
+/// One node; service-0 is the frontend, service-1 the backend; canal on a
+/// two-backend gateway.
+struct CanalTestbed : core::Topology {
+  CanalTestbed()
+      : core::Topology(testutil::frontend_backend_spec(263, /*nodes=*/1)) {
+    build_canal();
   }
+
+  k8s::Service* frontend = services[0];
+  k8s::Service* backend_svc = services[1];
 
   mesh::RequestOptions request() {
     mesh::RequestOptions opts;

@@ -1,6 +1,7 @@
 // Unit tests for the HTTP substrate: messages, parser, route matching.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "http/message.h"
@@ -159,6 +160,9 @@ struct MalformedCase {
   const char* wire;
 };
 
+// Prints the case by name so the test name does not carry the wire pointer.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
 class MalformedRequestTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedRequestTest, Rejected) {
@@ -183,8 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "zz\r\n"},
         MalformedCase{"missing_crlf_after_chunk",
                       "GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-                      "3\r\nabcXY"}),
-    [](const auto& info) { return info.param.name; });
+                      "3\r\nabcXY"}));
 
 TEST(RequestParser, ErrorIsSticky) {
   RequestParser parser;

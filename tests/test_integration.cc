@@ -9,47 +9,17 @@
 #include "canal/proxyless.h"
 #include "mesh/ambient.h"
 #include "mesh/istio.h"
+#include "tests/testutil.h"
 
 namespace canal {
 namespace {
 
-struct World {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(1009)};
-  k8s::Service* api = nullptr;
-  k8s::Service* web = nullptr;
-  k8s::Pod* client = nullptr;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<core::CanalMesh> canal;
-  std::unique_ptr<crypto::KeyServer> key_server;
+/// service-0 is "api"; service-1 holds the client pod.
+struct World : core::Topology {
+  World() : core::Topology(testutil::client_server_spec(1009)) {}
 
-  World() {
-    cluster.add_node(static_cast<net::AzId>(0), 16);
-    cluster.add_node(static_cast<net::AzId>(0), 16);
-    api = &cluster.add_service("api");
-    web = &cluster.add_service("web");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = sim::milliseconds(1);
-    profile.sigma = 0.05;
-    for (int i = 0; i < 4; ++i) {
-      cluster.add_pod(*api, profile).set_phase(k8s::PodPhase::kRunning);
-    }
-    client = &cluster.add_pod(*web, profile);
-    client->set_phase(k8s::PodPhase::kRunning);
-  }
-
-  void build_canal(std::size_t azs = 1) {
-    gateway = std::make_unique<core::MeshGateway>(
-        loop, core::GatewayConfig{}, sim::Rng(1013));
-    for (std::size_t a = 0; a < azs; ++a) gateway->add_az(3);
-    key_server = std::make_unique<crypto::KeyServer>(
-        loop, static_cast<net::AzId>(0), 8, sim::Rng(1019));
-    canal = std::make_unique<core::CanalMesh>(
-        loop, cluster, *gateway, core::CanalMesh::Config{}, sim::Rng(1021));
-    canal->install();
-    canal->attach_key_server(static_cast<net::AzId>(0), key_server.get());
-  }
+  k8s::Service* api = services[0];
+  k8s::Pod* client = services[1]->endpoints.front();
 
   mesh::RequestResult one(mesh::MeshDataplane& mesh,
                           bool new_connection = true) {
@@ -70,13 +40,9 @@ struct World {
 TEST(CrossMesh, AllDataplanesServeTheSameWorkload) {
   World world;
   world.build_canal();
-  mesh::NoMesh nomesh(world.loop, world.cluster);
-  mesh::IstioMesh istio(world.loop, world.cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(1031));
-  istio.install();
-  mesh::AmbientMesh ambient(world.loop, world.cluster,
-                            mesh::AmbientMesh::Config{}, sim::Rng(1033));
-  ambient.install();
+  mesh::NoMesh& nomesh = world.build_nomesh();
+  mesh::IstioMesh& istio = world.build_istio();
+  mesh::AmbientMesh& ambient = world.build_ambient();
 
   EXPECT_EQ(world.one(nomesh).status, 200);
   EXPECT_EQ(world.one(istio).status, 200);
@@ -87,12 +53,8 @@ TEST(CrossMesh, AllDataplanesServeTheSameWorkload) {
 TEST(CrossMesh, ProxyCountOrdering) {
   World world;
   world.build_canal();
-  mesh::IstioMesh istio(world.loop, world.cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(1039));
-  istio.install();
-  mesh::AmbientMesh ambient(world.loop, world.cluster,
-                            mesh::AmbientMesh::Config{}, sim::Rng(1049));
-  ambient.install();
+  mesh::IstioMesh& istio = world.build_istio();
+  mesh::AmbientMesh& ambient = world.build_ambient();
   // O(pods) > O(nodes + services) — and Canal's control-plane entities are
   // gateway backends + on-node proxies.
   EXPECT_GT(istio.proxy_count(), ambient.proxy_count());
@@ -104,12 +66,8 @@ TEST(CrossMesh, ProxyCountOrdering) {
 TEST(CrossMesh, SouthboundBytesOrdering) {
   World world;
   world.build_canal();
-  mesh::IstioMesh istio(world.loop, world.cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(1051));
-  istio.install();
-  mesh::AmbientMesh ambient(world.loop, world.cluster,
-                            mesh::AmbientMesh::Config{}, sim::Rng(1061));
-  ambient.install();
+  mesh::IstioMesh& istio = world.build_istio();
+  mesh::AmbientMesh& ambient = world.build_ambient();
   auto bytes = [](const std::vector<k8s::ConfigTarget>& targets) {
     std::uint64_t total = 0;
     for (const auto& t : targets) total += t.config_bytes;
@@ -129,12 +87,8 @@ TEST(CrossMesh, SouthboundBytesOrdering) {
 TEST(CrossMesh, UserCpuOrderingUnderLoad) {
   World world;
   world.build_canal();
-  mesh::IstioMesh istio(world.loop, world.cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(1063));
-  istio.install();
-  mesh::AmbientMesh ambient(world.loop, world.cluster,
-                            mesh::AmbientMesh::Config{}, sim::Rng(1069));
-  ambient.install();
+  mesh::IstioMesh& istio = world.build_istio();
+  mesh::AmbientMesh& ambient = world.build_ambient();
   for (int i = 0; i < 50; ++i) {
     world.one(istio, false);
     world.one(ambient, false);
@@ -151,7 +105,7 @@ TEST(CrossMesh, UserCpuOrderingUnderLoad) {
 TEST(CrossMesh, TraceShowsCanalStagesAbsentFromNoMesh) {
   World world;
   world.build_canal();
-  mesh::NoMesh nomesh(world.loop, world.cluster);
+  mesh::NoMesh& nomesh = world.build_nomesh();
 
   auto traced = [&](mesh::MeshDataplane& mesh) {
     std::optional<mesh::RequestResult> result;
@@ -222,10 +176,10 @@ TEST(ControllerFlow, PodCreationEndToEnd) {
 
 // ---- Proxyless mode (Appendix B) -------------------------------------------
 
+/// Builds the proxyless plane without installing it: these tests assert on
+/// install()'s return value, so they keep their own construction.
 struct ProxylessWorld : World {
-  std::unique_ptr<core::ProxylessMesh> proxyless;
-
-  void build_proxyless(core::ProxylessMesh::Config config = {}) {
+  void build_uninstalled_proxyless(core::ProxylessMesh::Config config = {}) {
     gateway = std::make_unique<core::MeshGateway>(
         loop, core::GatewayConfig{}, sim::Rng(1087));
     gateway->add_az(3);
@@ -236,7 +190,7 @@ struct ProxylessWorld : World {
 
 TEST(Proxyless, ServesRequestsWithoutAnyProxy) {
   ProxylessWorld world;
-  world.build_proxyless();
+  world.build_uninstalled_proxyless();
   EXPECT_EQ(world.proxyless->install(), 0u);  // all ENIs allocated
   EXPECT_EQ(world.proxyless->proxy_count(), 0u);
   const auto result = world.one(*world.proxyless);
@@ -246,7 +200,7 @@ TEST(Proxyless, ServesRequestsWithoutAnyProxy) {
 
 TEST(Proxyless, UnauthenticatedPodRejected) {
   ProxylessWorld world;
-  world.build_proxyless();
+  world.build_uninstalled_proxyless();
   world.proxyless->install();
   // Revoke the client's ENI: its traffic can no longer be verified.
   world.proxyless->enis().release(world.client->id());
@@ -257,7 +211,7 @@ TEST(Proxyless, EniLimitBlocksExcessPods) {
   ProxylessWorld world;
   core::ProxylessMesh::Config config;
   config.eni.max_enis_per_node = 2;  // tiny limit
-  world.build_proxyless(config);
+  world.build_uninstalled_proxyless(config);
   const std::size_t failed = world.proxyless->install();
   // 5 pods on 2 nodes with 2 ENIs per node => at least one pod fails.
   EXPECT_GE(failed, 1u);
@@ -288,7 +242,7 @@ TEST(Proxyless, UserManagedCertsCostNodeCpu) {
   ProxylessWorld managed;
   core::ProxylessMesh::Config config;
   config.user_managed_certs = true;
-  managed.build_proxyless(config);
+  managed.build_uninstalled_proxyless(config);
   managed.proxyless->install();
   managed.one(*managed.proxyless);
   EXPECT_GT(managed.proxyless->user_cpu_core_seconds(), 0.0);
@@ -296,7 +250,7 @@ TEST(Proxyless, UserManagedCertsCostNodeCpu) {
   ProxylessWorld trusted;
   core::ProxylessMesh::Config trusted_config;
   trusted_config.user_managed_certs = false;  // gateway-terminated TLS
-  trusted.build_proxyless(trusted_config);
+  trusted.build_uninstalled_proxyless(trusted_config);
   trusted.proxyless->install();
   trusted.one(*trusted.proxyless);
   EXPECT_DOUBLE_EQ(trusted.proxyless->user_cpu_core_seconds(), 0.0);
@@ -304,7 +258,7 @@ TEST(Proxyless, UserManagedCertsCostNodeCpu) {
 
 TEST(Proxyless, ControlPlaneIsGatewayPlusDnsEni) {
   ProxylessWorld world;
-  world.build_proxyless();
+  world.build_uninstalled_proxyless();
   world.proxyless->install();
   k8s::Pod& fresh = world.cluster.add_pod(*world.api, k8s::AppProfile{});
   const auto targets = world.proxyless->pod_create_targets({&fresh});
@@ -346,8 +300,20 @@ TEST(Keyless, FallsBackToLocalCryptoWhenServerUnreachable) {
 // ---- Innocence prober (§6.4) ----------------------------------------------
 
 TEST(Innocence, FullMeshProbesAcrossAzsAndProtocols) {
+  // A two-AZ gateway, which the topology's one-AZ canal does not build.
   World world;
-  world.build_canal(/*azs=*/2);
+  world.gateway = std::make_unique<core::MeshGateway>(
+      world.loop, core::GatewayConfig{}, sim::Rng(1013));
+  world.gateway->add_az(3);
+  world.gateway->add_az(3);
+  world.key_server = std::make_unique<crypto::KeyServer>(
+      world.loop, static_cast<net::AzId>(0), 8, sim::Rng(1019));
+  world.canal = std::make_unique<core::CanalMesh>(
+      world.loop, world.cluster, *world.gateway, core::CanalMesh::Config{},
+      sim::Rng(1021));
+  world.canal->install();
+  world.canal->attach_key_server(static_cast<net::AzId>(0),
+                                 world.key_server.get());
   core::InnocenceProber::Config config;
   config.probe_interval = sim::seconds(5);
   core::InnocenceProber prober(world.loop, *world.canal, world.cluster,

@@ -5,38 +5,21 @@
 #include <memory>
 #include <string>
 
-#include "canal/canal_mesh.h"
-#include "canal/gateway.h"
-#include "canal/proxyless.h"
-#include "mesh/ambient.h"
-#include "mesh/dataplane.h"
-#include "mesh/istio.h"
+#include "canal/topology.h"
 #include "proxy/engine.h"
+#include "tests/testutil.h"
 
 namespace canal::mesh {
 namespace {
 
-struct Testbed {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(167)};
-  k8s::Service* frontend = nullptr;
-  k8s::Service* backend = nullptr;
+/// service-0 is the frontend (clients), service-1 the backend.
+struct Testbed : core::Topology {
+  explicit Testbed(std::size_t nodes = 2, std::size_t pods_per_service = 3)
+      : core::Topology(
+            testutil::frontend_backend_spec(167, nodes, pods_per_service)) {}
 
-  explicit Testbed(std::size_t nodes = 2, std::size_t pods_per_service = 3) {
-    for (std::size_t i = 0; i < nodes; ++i) {
-      cluster.add_node(static_cast<net::AzId>(0), 8);
-    }
-    frontend = &cluster.add_service("frontend");
-    backend = &cluster.add_service("backend");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = sim::milliseconds(1);
-    profile.sigma = 0.05;
-    for (std::size_t i = 0; i < pods_per_service; ++i) {
-      cluster.add_pod(*frontend, profile).set_phase(k8s::PodPhase::kRunning);
-      cluster.add_pod(*backend, profile).set_phase(k8s::PodPhase::kRunning);
-    }
-  }
+  k8s::Service* frontend = services[0];
+  k8s::Service* backend = services[1];
 
   k8s::Pod* client() { return frontend->endpoints.front(); }
 
@@ -60,7 +43,7 @@ RequestResult run_one(sim::EventLoop& loop, MeshDataplane& mesh,
 
 TEST(NoMesh, DirectRequestSucceeds) {
   Testbed bed;
-  NoMesh mesh(bed.loop, bed.cluster);
+  NoMesh& mesh = bed.build_nomesh();
   const auto result = run_one(bed.loop, mesh, bed.request_to_backend());
   EXPECT_EQ(result.status, 200);
   EXPECT_GT(result.latency, 0);
@@ -70,7 +53,7 @@ TEST(NoMesh, DirectRequestSucceeds) {
 
 TEST(NoMesh, UnknownServiceIs404) {
   Testbed bed;
-  NoMesh mesh(bed.loop, bed.cluster);
+  NoMesh& mesh = bed.build_nomesh();
   RequestOptions opts = bed.request_to_backend();
   opts.dst_service = static_cast<net::ServiceId>(0xDEAD);
   EXPECT_EQ(run_one(bed.loop, mesh, opts).status, 404);
@@ -78,7 +61,7 @@ TEST(NoMesh, UnknownServiceIs404) {
 
 TEST(NoMesh, NoReadyEndpointsIs503) {
   Testbed bed;
-  NoMesh mesh(bed.loop, bed.cluster);
+  NoMesh& mesh = bed.build_nomesh();
   for (k8s::Pod* pod : bed.backend->endpoints) {
     pod->set_phase(k8s::PodPhase::kTerminated);
   }
@@ -87,8 +70,7 @@ TEST(NoMesh, NoReadyEndpointsIs503) {
 
 TEST(Istio, RequestTraversesTwoSidecars) {
   Testbed bed;
-  IstioMesh mesh(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(171));
-  mesh.install();
+  IstioMesh& mesh = bed.build_istio();
   EXPECT_EQ(mesh.proxy_count(), bed.cluster.pod_count());
 
   const auto result = run_one(bed.loop, mesh, bed.request_to_backend());
@@ -106,9 +88,8 @@ TEST(Istio, RequestTraversesTwoSidecars) {
 
 TEST(Istio, SlowerThanNoMesh) {
   Testbed bed;
-  NoMesh bare(bed.loop, bed.cluster);
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(173));
-  istio.install();
+  NoMesh& bare = bed.build_nomesh();
+  IstioMesh& istio = bed.build_istio();
   const auto bare_result = run_one(bed.loop, bare, bed.request_to_backend());
   const auto istio_result = run_one(bed.loop, istio, bed.request_to_backend());
   EXPECT_GT(istio_result.latency, bare_result.latency);
@@ -116,8 +97,7 @@ TEST(Istio, SlowerThanNoMesh) {
 
 TEST(Istio, CloseAfterTearsDownSessions) {
   Testbed bed;
-  IstioMesh mesh(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(175));
-  mesh.install();
+  IstioMesh& mesh = bed.build_istio();
   RequestOptions opts = bed.request_to_backend();
   opts.close_after = true;
   run_one(bed.loop, mesh, opts);
@@ -126,8 +106,7 @@ TEST(Istio, CloseAfterTearsDownSessions) {
 
 TEST(Istio, FullConfigPushedToEverySidecar) {
   Testbed bed;
-  IstioMesh mesh(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(177));
-  mesh.install();
+  IstioMesh& mesh = bed.build_istio();
   const auto targets = mesh.routing_update_targets();
   EXPECT_EQ(targets.size(), bed.cluster.pod_count());
   const std::size_t full = full_config_bytes(bed.cluster);
@@ -138,8 +117,7 @@ TEST(Istio, FullConfigPushedToEverySidecar) {
 
 TEST(Istio, PodCreateTouchesAllSidecars) {
   Testbed bed;
-  IstioMesh mesh(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(179));
-  mesh.install();
+  IstioMesh& mesh = bed.build_istio();
   k8s::Pod& fresh = bed.cluster.add_pod(*bed.backend, k8s::AppProfile{});
   const auto targets = mesh.pod_create_targets({&fresh});
   // Existing sidecars + the new one.
@@ -148,8 +126,7 @@ TEST(Istio, PodCreateTouchesAllSidecars) {
 
 TEST(Istio, MtlsHandshakePerNewConnection) {
   Testbed bed;
-  IstioMesh mesh(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(181));
-  mesh.install();
+  IstioMesh& mesh = bed.build_istio();
   RequestOptions opts = bed.request_to_backend();
   opts.new_connection = true;
   run_one(bed.loop, mesh, opts);
@@ -158,9 +135,7 @@ TEST(Istio, MtlsHandshakePerNewConnection) {
 
 TEST(Ambient, RequestTraversesZtunnelsAndWaypoint) {
   Testbed bed;
-  AmbientMesh mesh(bed.loop, bed.cluster, AmbientMesh::Config{},
-                   sim::Rng(191));
-  mesh.install();
+  AmbientMesh& mesh = bed.build_ambient();
   // nodes ztunnels + services waypoints.
   EXPECT_EQ(mesh.proxy_count(),
             bed.cluster.nodes().size() + bed.cluster.services().size());
@@ -177,21 +152,15 @@ TEST(Ambient, RequestTraversesZtunnelsAndWaypoint) {
 
 TEST(Ambient, FewerProxiesThanIstio) {
   Testbed bed(2, 5);
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(193));
-  AmbientMesh ambient(bed.loop, bed.cluster, AmbientMesh::Config{},
-                      sim::Rng(195));
-  istio.install();
-  ambient.install();
+  IstioMesh& istio = bed.build_istio();
+  AmbientMesh& ambient = bed.build_ambient();
   EXPECT_LT(ambient.proxy_count(), istio.proxy_count());
 }
 
 TEST(Ambient, RoutingUpdateCheaperThanIstio) {
   Testbed bed(2, 5);
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(197));
-  AmbientMesh ambient(bed.loop, bed.cluster, AmbientMesh::Config{},
-                      sim::Rng(199));
-  istio.install();
-  ambient.install();
+  IstioMesh& istio = bed.build_istio();
+  AmbientMesh& ambient = bed.build_ambient();
   auto bytes = [](const std::vector<k8s::ConfigTarget>& targets) {
     std::size_t total = 0;
     for (const auto& t : targets) total += t.config_bytes;
@@ -203,12 +172,9 @@ TEST(Ambient, RoutingUpdateCheaperThanIstio) {
 
 TEST(Ambient, LatencyBetweenNoMeshAndIstio) {
   Testbed bed;
-  NoMesh bare(bed.loop, bed.cluster);
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(211));
-  AmbientMesh ambient(bed.loop, bed.cluster, AmbientMesh::Config{},
-                      sim::Rng(213));
-  istio.install();
-  ambient.install();
+  NoMesh& bare = bed.build_nomesh();
+  IstioMesh& istio = bed.build_istio();
+  AmbientMesh& ambient = bed.build_ambient();
 
   // Warm (established) connections isolate per-request path costs.
   // Average several requests: endpoint/waypoint placement varies hops.
@@ -231,11 +197,8 @@ TEST(Ambient, LatencyBetweenNoMeshAndIstio) {
 TEST(Ambient, WaypointIsSingleL7Point) {
   // Istio runs the request through TWO L7 proxies; Ambient through one.
   Testbed bed;
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(217));
-  AmbientMesh ambient(bed.loop, bed.cluster, AmbientMesh::Config{},
-                      sim::Rng(219));
-  istio.install();
-  ambient.install();
+  IstioMesh& istio = bed.build_istio();
+  AmbientMesh& ambient = bed.build_ambient();
   RequestOptions opts = bed.request_to_backend();
   opts.new_connection = false;
   run_one(bed.loop, istio, opts);
@@ -257,9 +220,7 @@ TEST(Ambient, WaypointIsSingleL7Point) {
 
 TEST(Ambient, PodCreationRefreshesWaypoint) {
   Testbed bed;
-  AmbientMesh mesh(bed.loop, bed.cluster, AmbientMesh::Config{},
-                   sim::Rng(223));
-  mesh.install();
+  AmbientMesh& mesh = bed.build_ambient();
   k8s::AppProfile profile;
   profile.fast_service_mean = sim::milliseconds(1);
   k8s::Pod& fresh = bed.cluster.add_pod(*bed.backend, profile);
@@ -306,11 +267,8 @@ TEST(ConfigHelpers, BuildRequestCarriesOptions) {
 // offered load (the Fig 11 ordering).
 TEST(Comparative, IstioSaturatesBeforeAmbient) {
   Testbed bed(2, 3);
-  IstioMesh istio(bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(227));
-  AmbientMesh ambient(bed.loop, bed.cluster, AmbientMesh::Config{},
-                      sim::Rng(229));
-  istio.install();
-  ambient.install();
+  IstioMesh& istio = bed.build_istio();
+  AmbientMesh& ambient = bed.build_ambient();
 
   auto drive = [&](MeshDataplane& mesh) {
     sim::Histogram latency_ms;
@@ -406,46 +364,14 @@ TEST(RefreshEndpoints, ScaleUpPreservesLbState) {
 
 struct PlaneFixture {
   Testbed bed;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<crypto::KeyServer> key_server;
-  std::unique_ptr<MeshDataplane> plane;
+  MeshDataplane* plane = nullptr;
 
   explicit PlaneFixture(const std::string& name) {
-    if (name == "nomesh") {
-      plane = std::make_unique<NoMesh>(bed.loop, bed.cluster);
-    } else if (name == "istio") {
-      auto istio = std::make_unique<IstioMesh>(
-          bed.loop, bed.cluster, IstioMesh::Config{}, sim::Rng(31));
-      istio->install();
-      plane = std::move(istio);
-    } else if (name == "ambient") {
-      auto ambient = std::make_unique<AmbientMesh>(
-          bed.loop, bed.cluster, AmbientMesh::Config{}, sim::Rng(33));
-      ambient->install();
-      plane = std::move(ambient);
-    } else {
-      core::GatewayConfig config;
-      gateway =
-          std::make_unique<core::MeshGateway>(bed.loop, config, sim::Rng(37));
-      gateway->add_az(2);
-      key_server = std::make_unique<crypto::KeyServer>(
-          bed.loop, static_cast<net::AzId>(0), 8, sim::Rng(39));
-      if (name == "canal") {
-        auto canal = std::make_unique<core::CanalMesh>(
-            bed.loop, bed.cluster, *gateway, core::CanalMesh::Config{},
-            sim::Rng(41));
-        canal->install();
-        canal->attach_key_server(static_cast<net::AzId>(0),
-                                 key_server.get());
-        plane = std::move(canal);
-      } else {
-        auto proxyless = std::make_unique<core::ProxylessMesh>(
-            bed.loop, bed.cluster, *gateway, core::ProxylessMesh::Config{},
-            sim::Rng(43));
-        proxyless->install();
-        plane = std::move(proxyless);
-      }
-    }
+    if (name == "nomesh") plane = &bed.build_nomesh();
+    if (name == "istio") plane = &bed.build_istio();
+    if (name == "ambient") plane = &bed.build_ambient();
+    if (name == "canal") plane = &bed.build_canal();
+    if (name == "proxyless") plane = &bed.build_proxyless();
   }
 };
 
@@ -509,7 +435,7 @@ TEST(ErrorPaths, TerminatedPodStillListedSurfaces503OnProxiedPlanes) {
 
 TEST(ErrorPaths, SessionTableExhaustionIs503) {
   PlaneFixture fx("canal");
-  for (core::GatewayBackend* backend : fx.gateway->all_backends()) {
+  for (core::GatewayBackend* backend : fx.bed.gateway->all_backends()) {
     for (std::size_t r = 0; r < backend->replica_count(); ++r) {
       auto& sessions = backend->replica(r)->engine().sessions();
       for (std::uint32_t i = 0; i < sessions.capacity(); ++i) {

@@ -1,6 +1,7 @@
 // Unit tests for the network substrate: addresses, flows, ECMP, VXLAN.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -30,6 +31,11 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+
+// Prints the case by value so the test name does not carry the text pointer.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" " << (c.valid ? "valid" : "invalid");
+}
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

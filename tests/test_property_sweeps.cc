@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "canal/sharding.h"
 #include "crypto/handshake.h"
@@ -156,10 +157,12 @@ INSTANTIATE_TEST_SUITE_P(Weights, SplitSweep,
 
 // ---- Shuffle sharding: isolation across pool shapes --------------------------
 
+// All fields are 64-bit so the struct has no padding: the test name prints
+// the raw bytes, and padding would make it differ from run to run.
 struct ShardShape {
-  std::uint32_t pool;
+  std::uint64_t pool;
   std::size_t shard;
-  int services;
+  std::int64_t services;
 };
 
 class ShardSweep : public ::testing::TestWithParam<ShardShape> {};
@@ -168,16 +171,16 @@ TEST_P(ShardSweep, AllAssignmentsUniqueAndIsolated) {
   const auto& [pool_size, shard, services] = GetParam();
   core::ShuffleShardAssigner assigner(shard, sim::Rng(6007));
   std::vector<net::BackendId> pool;
-  for (std::uint32_t i = 1; i <= pool_size; ++i) {
+  for (std::uint64_t i = 1; i <= pool_size; ++i) {
     pool.push_back(static_cast<net::BackendId>(i));
   }
   assigner.set_pool(pool);
-  int assigned = 0;
-  for (int s = 1; s <= services; ++s) {
+  std::int64_t assigned = 0;
+  for (std::int64_t s = 1; s <= services; ++s) {
     if (assigner.assign(static_cast<net::ServiceId>(s))) ++assigned;
   }
   EXPECT_EQ(assigned, services);
-  for (int s = 1; s <= services; ++s) {
+  for (std::int64_t s = 1; s <= services; ++s) {
     EXPECT_TRUE(assigner.isolated(static_cast<net::ServiceId>(s)));
   }
   EXPECT_LT(assigner.max_pairwise_overlap(), shard);

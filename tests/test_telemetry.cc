@@ -44,14 +44,6 @@ TEST(ServiceStats, BulkRecording) {
   EXPECT_NEAR(stats.new_session_rate(sim::milliseconds(600)), 100.0, 1.0);
 }
 
-TEST(ServiceStats, LatencyHistogram) {
-  ServiceStats stats;
-  for (int i = 1; i <= 100; ++i) {
-    stats.on_latency(static_cast<double>(i));
-  }
-  EXPECT_NEAR(stats.latency_us().percentile(99), 99.0, 1.0);
-}
-
 TEST(BackendSnapshot, TopServicesOrdered) {
   BackendSnapshot snap;
   snap.service_rps[S1] = 10.0;

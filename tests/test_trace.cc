@@ -8,6 +8,7 @@
 #include "canal/canal_mesh.h"
 #include "mesh/ambient.h"
 #include "mesh/istio.h"
+#include "tests/testutil.h"
 #include "sim/cpu.h"
 #include "telemetry/rca.h"
 #include "telemetry/registry.h"
@@ -256,42 +257,12 @@ TEST(RcaRegistry, PinpointsServiceCorrelatedWithBackendLoad) {
 
 // ---- End-to-end: traced requests decompose latency exactly -----------------
 
-struct TraceWorld {
-  sim::EventLoop loop;
-  k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(2003)};
-  k8s::Service* api = nullptr;
-  k8s::Pod* client = nullptr;
-  std::unique_ptr<core::MeshGateway> gateway;
-  std::unique_ptr<core::CanalMesh> canal;
-  std::unique_ptr<crypto::KeyServer> key_server;
+/// service-0 is "api"; service-1 holds the client pod.
+struct TraceWorld : core::Topology {
+  TraceWorld() : core::Topology(testutil::client_server_spec(2003)) {}
 
-  TraceWorld() {
-    cluster.add_node(static_cast<net::AzId>(0), 16);
-    cluster.add_node(static_cast<net::AzId>(0), 16);
-    api = &cluster.add_service("api");
-    k8s::Service& web = cluster.add_service("web");
-    k8s::AppProfile profile;
-    profile.fast_fraction = 1.0;
-    profile.fast_service_mean = sim::milliseconds(1);
-    profile.sigma = 0.05;
-    for (int i = 0; i < 4; ++i) {
-      cluster.add_pod(*api, profile).set_phase(k8s::PodPhase::kRunning);
-    }
-    client = &cluster.add_pod(web, profile);
-    client->set_phase(k8s::PodPhase::kRunning);
-  }
-
-  void build_canal() {
-    gateway = std::make_unique<core::MeshGateway>(
-        loop, core::GatewayConfig{}, sim::Rng(2011));
-    gateway->add_az(3);
-    key_server = std::make_unique<crypto::KeyServer>(
-        loop, static_cast<net::AzId>(0), 8, sim::Rng(2017));
-    canal = std::make_unique<core::CanalMesh>(
-        loop, cluster, *gateway, core::CanalMesh::Config{}, sim::Rng(2027));
-    canal->install();
-    canal->attach_key_server(static_cast<net::AzId>(0), key_server.get());
-  }
+  k8s::Service* api = services[0];
+  k8s::Pod* client = services[1]->endpoints.front();
 
   mesh::RequestResult traced(mesh::MeshDataplane& mesh,
                              bool new_connection = true) {
@@ -328,7 +299,7 @@ void expect_exact_decomposition(const mesh::RequestResult& result) {
 
 TEST(TracedRequest, NoMeshDecomposesExactly) {
   TraceWorld world;
-  mesh::NoMesh nomesh(world.loop, world.cluster);
+  mesh::NoMesh& nomesh = world.build_nomesh();
   const auto result = world.traced(nomesh);
   EXPECT_EQ(result.status, 200);
   expect_exact_decomposition(result);
@@ -338,9 +309,7 @@ TEST(TracedRequest, NoMeshDecomposesExactly) {
 
 TEST(TracedRequest, IstioDecomposesExactly) {
   TraceWorld world;
-  mesh::IstioMesh istio(world.loop, world.cluster, mesh::IstioMesh::Config{},
-                        sim::Rng(2029));
-  istio.install();
+  mesh::IstioMesh& istio = world.build_istio();
   // New connection (mTLS handshake span) and established connection both
   // must tile exactly.
   for (const bool fresh : {true, false}) {
@@ -354,9 +323,7 @@ TEST(TracedRequest, IstioDecomposesExactly) {
 
 TEST(TracedRequest, AmbientDecomposesExactly) {
   TraceWorld world;
-  mesh::AmbientMesh ambient(world.loop, world.cluster,
-                            mesh::AmbientMesh::Config{}, sim::Rng(2039));
-  ambient.install();
+  mesh::AmbientMesh& ambient = world.build_ambient();
   for (const bool fresh : {true, false}) {
     const auto result = world.traced(ambient, fresh);
     EXPECT_EQ(result.status, 200);

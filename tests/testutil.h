@@ -1,5 +1,8 @@
 // Shared test utilities.
 //
+// client_server_spec and frontend_backend_spec are the small
+// core::Topology shapes the dataplane tests share.
+//
 // MtlsFixture centralises the CA / keypair / EndpointConfig setup that
 // every mTLS handshake test needs: one certificate authority, a client
 // and a server keypair, and ready-made endpoint configs whose signers
@@ -7,11 +10,13 @@
 // from its configs (the signer lambdas capture `this`).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "canal/topology.h"
 #include "crypto/cert.h"
 #include "crypto/handshake.h"
 #include "crypto/keyexchange.h"
@@ -19,6 +24,29 @@
 #include "sim/time.h"
 
 namespace canal::testutil {
+
+/// Two 16-core nodes; service-0 (4 pods) serves, service-1 holds the one
+/// client pod; a three-backend gateway.
+inline core::TopologySpec client_server_spec(std::uint64_t seed) {
+  core::TopologySpec spec;
+  spec.node_cores = 16;
+  spec.pods_per_service = {4, 1};
+  spec.gateway_backends = 3;
+  spec.seed = seed;
+  return spec;
+}
+
+/// Two services of `pods` pods each on `nodes` 8-core nodes: service-0
+/// holds the clients (the frontend), service-1 serves (the backend).
+inline core::TopologySpec frontend_backend_spec(std::uint64_t seed,
+                                                std::size_t nodes = 2,
+                                                std::size_t pods = 3) {
+  core::TopologySpec spec;
+  spec.nodes = nodes;
+  spec.pods_per_service = {pods, pods};
+  spec.seed = seed;
+  return spec;
+}
 
 struct MtlsFixture {
   struct Params {
