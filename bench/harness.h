@@ -64,19 +64,6 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-inline std::string fmt(const char* format, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, value);
-  return buf;
-}
-
-inline std::string fmt_us(double us) { return fmt("%.0fus", us); }
-inline std::string fmt_ms(double ms) { return fmt("%.2fms", ms); }
-inline std::string fmt_x(double ratio) { return fmt("%.1fx", ratio); }
-inline std::string fmt_pct(double fraction) {
-  return fmt("%.1f%%", fraction * 100.0);
-}
-
 /// The bench's standard client: the first pod of the first service.
 inline k8s::Pod* client(core::Topology& bed) {
   return bed.services.front()->endpoints.front();

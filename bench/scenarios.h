@@ -1,6 +1,9 @@
-// The bench suite's scenario registry: every table the retired serial
+// The bench suite's headline scenarios: every table the retired serial
 // binaries (bench_latency, bench_throughput, bench_faults, bench_selfperf)
-// used to produce, re-expressed as self-contained runner scenarios.
+// used to produce, plus the fairness, resilience, selfperf, region and
+// control-plane families, as self-contained runner scenarios (the paper's
+// remaining figures live in figures.h; bench_suite.cc's family table
+// registers both).
 //
 // Each scenario function receives one runner::RunSpec and builds everything
 // it touches — core::Topology (own sim::EventLoop), meshes, fault plans,
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -194,8 +198,10 @@ inline runner::RunResult throughput_knee(const runner::RunSpec& spec) {
     const SweepPoint point{rps, load.latency_us.percentile(99),
                            load.error_rate()};
     points.push_back(point);
-    if (!sweep_note.empty()) sweep_note += "  ";
-    sweep_note += fmt("%.0f", rps) + ":" + fmt_us(point.p99_us);
+    char cell[64];
+    std::snprintf(cell, sizeof(cell), "%s%.0f:%.0fus",
+                  sweep_note.empty() ? "" : "  ", rps, point.p99_us);
+    sweep_note += cell;
     // Far past saturation: stop the sweep.
     if (point.p99_us > 50'000 || point.error_rate > 0.2) break;
   }
@@ -1302,86 +1308,5 @@ inline runner::RunResult cert_rotation_wave(const runner::RunSpec& spec) {
 }
 
 }  // namespace scenarios
-
-/// Registers every suite scenario on `runner`.
-inline void register_bench_scenarios(runner::Runner& runner) {
-  runner.register_scenario("latency_light", scenarios::latency_light);
-  runner.register_scenario("latency_bimodal", scenarios::latency_bimodal);
-  runner.register_scenario("throughput_knee", scenarios::throughput_knee);
-  runner.register_scenario("faults_podkill", scenarios::faults_podkill);
-  runner.register_scenario("faults_gwcrash", scenarios::faults_gwcrash);
-  runner.register_scenario("faults_linkloss", scenarios::faults_linkloss);
-  runner.register_scenario("noisy_neighbor", scenarios::noisy_neighbor);
-  runner.register_scenario("resilience_retry_storm",
-                           scenarios::resilience_retry_storm);
-  runner.register_scenario("resilience_qod", scenarios::resilience_qod);
-  runner.register_scenario("resilience_ratelimit",
-                           scenarios::resilience_ratelimit);
-  runner.register_scenario("selfperf", scenarios::selfperf);
-  runner.register_scenario("region_scale", scenarios::region_scale);
-  runner.register_scenario("config_churn_storm",
-                           scenarios::config_churn_storm);
-  runner.register_scenario("cert_rotation_wave",
-                           scenarios::cert_rotation_wave);
-}
-
-/// The full suite grid for seeds 1..K, one RunSpec per (scenario, variant,
-/// seed). Ordered longest-first so FIFO dispatch starts the critical-path
-/// runs (selfperf canal/proxyless, throughput sweeps) before the short
-/// tail.
-inline std::vector<runner::RunSpec> suite_specs(std::uint64_t seeds) {
-  std::vector<runner::RunSpec> specs;
-  const auto add = [&](std::string scenario, std::string variant,
-                       std::vector<std::pair<std::string, double>>
-                           overrides = {}) {
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      specs.push_back(runner::RunSpec{scenario, variant, seed, overrides});
-    }
-  };
-  // Region runs once at a fixed seed (not per-seed): it is the suite's
-  // single longest run by an order of magnitude, and its determinism story
-  // is shards/jobs-invariance at one operating point, not a seed sweep.
-  // First in the list so FIFO dispatch starts the critical path
-  // immediately.
-  specs.push_back(runner::RunSpec{"region_scale", "canal", 1, {}});
-  for (const char* dp :
-       {"canal", "proxyless", "ambient", "istio", "nomesh"}) {
-    add("selfperf", dp);
-  }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("throughput_knee", dp);
-  }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("noisy_neighbor", dp);
-  }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("config_churn_storm", dp);
-  }
-  for (const char* dp : {"canal", "istio"}) {
-    add("cert_rotation_wave", dp);
-  }
-  add("resilience_retry_storm", "breaker-off", {{"breaker", 0}});
-  add("resilience_retry_storm", "breaker-on", {{"breaker", 1}});
-  add("resilience_qod", "ejection-off", {{"ejection", 0}});
-  add("resilience_qod", "ejection-on", {{"ejection", 1}});
-  add("resilience_ratelimit", "limit-off", {{"limit", 0}});
-  add("resilience_ratelimit", "limit-on", {{"limit", 1}});
-  add("faults_podkill", "nomesh-retry", {{"retries", 1}});
-  for (const char* dp : {"istio", "ambient", "canal"}) {
-    add("faults_podkill", dp, {{"retries", 0}});
-    add("faults_podkill", std::string(dp) + "-retry", {{"retries", 1}});
-  }
-  add("faults_gwcrash", "monitor-off", {{"monitor", 0}, {"retries", 0}});
-  add("faults_gwcrash", "monitor-on", {{"monitor", 1}, {"retries", 0}});
-  add("faults_gwcrash", "monitor-on-retry",
-      {{"monitor", 1}, {"retries", 1}});
-  add("faults_linkloss", "noretry", {{"retries", 0}});
-  add("faults_linkloss", "retry", {{"retries", 1}});
-  add("latency_bimodal", "canal");
-  for (const char* dp : {"no-mesh", "canal", "ambient", "istio"}) {
-    add("latency_light", dp);
-  }
-  return specs;
-}
 
 }  // namespace canal::bench

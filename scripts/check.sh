@@ -11,13 +11,14 @@
 #               build with ThreadSanitizer and exercise the experiment
 #               runner: test_runner (work-stealing pool, fan-out/reduce),
 #               test_sharded (sharded-simulation barrier + mailboxes on
-#               the threaded runner), plus a multi-threaded bench_suite
-#               smoke run. Any data race fails the gate.
+#               the threaded runner), plus the full default bench_suite
+#               grid at seed 1 on 8 workers. Any data race fails the gate.
 #
 # The default (Release, -O2) path also runs the determinism gate: the
 # bench suite is run twice in scratch dirs — once at --jobs 8, once at
-# --jobs 1 — and both outputs must be byte-identical to the committed
-# BENCH_*.json goldens. This is the hard check that (a) wall-clock
+# --jobs 1 — and every BENCH_*.json either run writes must be
+# byte-identical to the committed golden of that name, and every
+# committed golden must be written. This is the hard check that (a) wall-clock
 # optimisations never change simulated results and (b) the parallel runner
 # merges results by spec key, never by completion order.
 set -euo pipefail
@@ -61,12 +62,11 @@ elif [[ "${sanitize}" == "thread" ]]; then
   # mailbox hand-off at barriers) on the threaded runner, plus the tiny
   # sharded region with real dataplane traffic crossing shards.
   TSAN_OPTIONS=halt_on_error=1 "${build_dir}/tests/test_sharded"
-  # Real scenarios across 8 workers: races between concurrent testbeds
-  # (hidden statics, shared RNGs) would trip TSan here.
+  # Every scenario family across 8 workers: races between concurrent
+  # testbeds (hidden statics, shared RNGs) would trip TSan here.
   scratch="$(mktemp -d)"
   (cd "${scratch}" && TSAN_OPTIONS=halt_on_error=1 \
-    "${build_dir}/bench/bench_suite" --jobs 8 --seeds 2 \
-    --filter latency > /dev/null)
+    "${build_dir}/bench/bench_suite" --jobs 8 > /dev/null)
   rm -rf "${scratch}"
   echo "thread-sanitizer gate OK: runner tests + parallel suite race-free"
 else
@@ -76,19 +76,26 @@ else
   ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure
 
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
-  # run must both reproduce every committed golden byte-for-byte. Keys
-  # under the reserved "wall." prefix (selfperf's wall-clock readings:
+  # run must both reproduce the committed goldens byte-for-byte: every
+  # BENCH_*.json a run writes must equal the committed file of that name,
+  # and every committed BENCH_*.json must be written. Keys under the
+  # reserved "wall." prefix (selfperf's wall-clock readings:
   # wall.events_per_sec_per_core and friends) are machine-load-dependent
   # by design and are stripped before diffing; everything else — including
   # the deterministic selfperf allocation counters — must match exactly.
-  goldens=(BENCH_latency.json BENCH_throughput.json BENCH_faults.json
-           BENCH_selfperf.json BENCH_fairness.json BENCH_resilience.json
-           BENCH_region.json BENCH_controlplane.json)
   for suite_jobs in 8 1; do
     scratch="$(mktemp -d)"
     (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
       --jobs "${suite_jobs}" --seeds 3 --json > /dev/null)
-    for golden in "${goldens[@]}"; do
+    written="$(cd "${scratch}" && ls BENCH_*.json)"
+    committed="$(cd "${repo_root}" && ls BENCH_*.json)"
+    if [[ "${written}" != "${committed}" ]]; then
+      echo "determinism gate FAILED (--jobs ${suite_jobs}): bench_suite" \
+        "--json wrote [${written//$'\n'/ }], committed goldens are" \
+        "[${committed//$'\n'/ }]" >&2
+      exit 1
+    fi
+    for golden in ${written}; do
       if ! diff <(grep -v '"wall\.' "${scratch}/${golden}") \
                 <(grep -v '"wall\.' "${repo_root}/${golden}") > /dev/null
       then
