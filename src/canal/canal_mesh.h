@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "canal/gateway.h"
+#include "canal/gateway_plane.h"
 #include "canal/onnode.h"
 #include "crypto/keyserver.h"
 #include "mesh/dataplane.h"
@@ -19,7 +20,7 @@
 
 namespace canal::core {
 
-class CanalMesh final : public mesh::MeshDataplane {
+class CanalMesh final : public GatewayPlane {
  public:
   struct Config {
     OnNodeProxy::Config onnode;
@@ -47,32 +48,12 @@ class CanalMesh final : public mesh::MeshDataplane {
   }
   void send_request(const mesh::RequestOptions& opts,
                     mesh::RequestCallback done) override;
-  [[nodiscard]] sim::EventLoop& event_loop() noexcept override {
-    return loop_;
-  }
-  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets()
-      const override;
-  [[nodiscard]] std::vector<k8s::EpochTarget> config_epoch_targets(
-      const EngineApply& apply) const override;
   [[nodiscard]] std::vector<k8s::ConfigTarget> pod_create_targets(
       const std::vector<k8s::Pod*>& new_pods) const override;
   [[nodiscard]] double user_cpu_core_seconds() const override;
-  [[nodiscard]] double total_cpu_core_seconds() const override;
   [[nodiscard]] std::size_t proxy_count() const override;
 
   [[nodiscard]] OnNodeProxy* proxy_for(const k8s::Node& node);
-  [[nodiscard]] MeshGateway& gateway() noexcept { return gateway_; }
-  [[nodiscard]] std::uint32_t vni_of(net::ServiceId service) const;
-
- protected:
-  /// Outlier ejection reaches every gateway replica hosting the service
-  /// (all backends in its placement), bumping each replica engine's
-  /// cluster version so the flow fastpath revalidates.
-  void apply_endpoint_health(net::ServiceId service,
-                             std::uint64_t endpoint_key,
-                             bool healthy) override;
-  [[nodiscard]] std::size_t service_endpoint_total(
-      net::ServiceId service) const override;
 
  private:
   /// Pooled per-request continuation state (DESIGN.md §14): the whole
@@ -83,6 +64,8 @@ class CanalMesh final : public mesh::MeshDataplane {
   struct RequestState;
 
   OnNodeProxy& ensure_proxy(const k8s::Node& node);
+  /// Points `proxy`'s L4 route for every service at the gateway VIP.
+  void add_gateway_routes(OnNodeProxy& proxy);
 
   // send_request's hop chain, one member per async boundary (request out:
   // client proxy -> gateway -> server proxy -> pod; response back).
@@ -92,19 +75,15 @@ class CanalMesh final : public mesh::MeshDataplane {
   void return_to_client(RequestState* st);
   void finish_request(RequestState* st, int status);
 
-  sim::EventLoop& loop_;
-  k8s::Cluster& cluster_;
-  MeshGateway& gateway_;
   Config config_;
   sim::Rng rng_;
   // Flat tables (DESIGN.md §14): proxy lookup is per-request. Ordered so
   // config installs and CPU sums iterate in a fixed key order.
   sim::FlatOrderedMap<const k8s::Node*, std::unique_ptr<OnNodeProxy>>
       proxies_;
-  sim::FlatHashMap<net::ServiceId, std::uint32_t, net::IdHash> vnis_;
   sim::FlatHashMap<std::uint16_t, crypto::KeyServer*> key_servers_;
   sim::Pool<RequestState> requests_;
-  std::uint16_t next_port_ = 30000;
+  mesh::EphemeralPorts ports_{30000};
 };
 
 }  // namespace canal::core

@@ -34,9 +34,7 @@ std::size_t EniRegistry::allocated_on(const k8s::Node& node) const {
 
 ProxylessMesh::ProxylessMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                              MeshGateway& gateway, Config config, sim::Rng rng)
-    : loop_(loop),
-      cluster_(cluster),
-      gateway_(gateway),
+    : GatewayPlane(loop, cluster, gateway),
       config_(config),
       rng_(rng),
       enis_(config.eni) {}
@@ -44,19 +42,7 @@ ProxylessMesh::ProxylessMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
 ProxylessMesh::~ProxylessMesh() = default;
 
 std::size_t ProxylessMesh::install() {
-  for (const auto& service : cluster_.services()) {
-    if (!vnis_.contains(service->id)) {
-      const std::uint32_t vni = gateway_.allocate_vni();
-      vnis_[service->id] = vni;
-      gateway_.register_service(*service, vni);
-    }
-    if (gateway_.placement_of(service->id).empty()) {
-      const net::AzId home_az = service->endpoints.empty()
-                                    ? static_cast<net::AzId>(0)
-                                    : service->endpoints.front()->node().az();
-      gateway_.install_service(*service, home_az);
-    }
-  }
+  install_services();
   std::size_t failed = 0;
   for (const auto& pod : cluster_.pods()) {
     if (pod->phase() == k8s::PodPhase::kTerminated) continue;
@@ -65,90 +51,29 @@ std::size_t ProxylessMesh::install() {
   return failed;
 }
 
-std::uint32_t ProxylessMesh::vni_of(net::ServiceId service) const {
-  const auto it = vnis_.find(service);
-  return it == vnis_.end() ? 0 : it->second;
-}
-
-void ProxylessMesh::apply_endpoint_health(net::ServiceId service,
-                                          std::uint64_t endpoint_key,
-                                          bool healthy) {
-  const std::string cluster_name = mesh::service_cluster_name(service);
-  for (GatewayBackend* backend : gateway_.placement_of(service)) {
-    for (std::size_t i = 0; i < backend->replica_count(); ++i) {
-      if (proxy::UpstreamCluster* c =
-              backend->replica(i)->engine().clusters().find(cluster_name)) {
-        c->set_endpoint_health(endpoint_key, healthy);
-      }
-    }
-  }
-}
-
-std::size_t ProxylessMesh::service_endpoint_total(
-    net::ServiceId service) const {
-  const k8s::Service* obj = cluster_.find_service(service);
-  return obj != nullptr ? obj->endpoints.size() : 0;
-}
-
 void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
                                  mesh::RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    mesh::RequestOptions opts;
-    mesh::RequestCallback done;
-    GatewayReplica* replica = nullptr;
-    GatewayBackend* backend = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
+  // Observability is gateway-side only: no on-node collection point
+  // exists to record a per-request trace.
+  auto st = std::make_shared<Frame>();
+  auto finish = [this, st](int status) {
+    if (st->opts.close_after && st->replica != nullptr) {
+      st->replica->engine().close_connection(st->tuple);
+    }
+    complete(*st, status);
   };
-  auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = mesh::effective_tenant(opts);
-  if (opts.client == nullptr) {
-    // Malformed request: no originating pod. Fail fast instead of
-    // dereferencing null below.
-    mesh::RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    st->done(result);
+  if (!open_request(*st, opts, std::move(done), /*traced=*/false)) {
+    finish(400);
     return;
   }
   if (cluster_.find_service(opts.dst_service) == nullptr) {
     // DNS cannot resolve an unknown service to the gateway VIP: 404, not
     // the gateway's unknown-VNI 403 (which is for known-but-unregistered
     // services).
-    mesh::RequestResult result;
-    result.status = 404;
-    result.tenant = tenant;
-    st->done(result);
+    finish(404);
     return;
   }
-  st->req = mesh::build_request(opts);
-  const std::uint16_t src_port =
-      opts.src_port != 0 ? opts.src_port : next_port_++;
-  st->tuple =
-      net::FiveTuple{opts.client->ip(), mesh::service_vip(opts.dst_service),
-                     src_port, 443, net::Protocol::kTcp};
-  if (next_port_ < 40000) next_port_ = 40000;
-
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
-    if (st->opts.close_after && st->replica != nullptr) {
-      st->replica->engine().close_connection(st->tuple);
-    }
-    mesh::RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    st->done(result);
-  };
+  st->tuple = ports_.tuple_for(opts, 443);
 
   // Authentication: the ENI attached to the container vouches for the
   // traffic; pods without one cannot be verified and are rejected.
@@ -171,62 +96,31 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
   opts.client->node().cpu().execute(app_crypto, [this, st, finish]() mutable {
     // DNS already resolves the service name to the gateway VIP; the packet
     // rides the tenant's VXLAN network to the gateway.
-    net::Packet packet;
-    packet.tuple = st->tuple;
-    packet.payload_bytes = static_cast<std::uint32_t>(st->req.wire_size());
-    if (st->opts.new_connection) packet.set_flag(net::TcpFlag::kSyn);
-    net::VxlanHeader vxlan;
-    vxlan.vni = vni_of(st->opts.dst_service);
-    vxlan.outer = net::FiveTuple{st->opts.client->node().ip(),
-                                 net::Ipv4Addr(100, 64, 0, 1),
-                                 st->tuple.src_port, 4789,
-                                 net::Protocol::kUdp};
-    packet.vxlan = vxlan;
-
+    const net::Packet packet = encapsulate(*st);
     const net::AzId client_az = st->opts.client->node().az();
     loop_.post(config_.network.intra_az, [this, st, finish, packet,
-                                              client_az]() mutable {
+                                          client_az]() mutable {
       gateway_.handle_request(
           packet, st->opts.new_connection, config_.user_managed_certs,
           st->req, client_az, [this, st, finish](GatewayOutcome outcome) mutable {
-            // Record the serving replica before any early return: when the
-            // L7 engine answered with an error (e.g. a 4xx direct
-            // response), it still opened a session that finish() must
-            // close.
-            st->replica = outcome.replica;
-            st->backend = outcome.backend;
-            if (!outcome.ok) {
-              finish(outcome.status);
-              return;
-            }
-            ++gateway_requests_;
-            if (outcome.endpoint == nullptr) {
-              // 2xx/3xx direct response answered by the gateway replica:
-              // no upstream endpoint, nothing to forward.
-              finish(outcome.status);
-              return;
-            }
-            st->endpoint = outcome.endpoint;
-            st->target = cluster_.find_pod(
-                static_cast<net::PodId>(outcome.endpoint->key));
-            if (st->target == nullptr || !st->target->ready()) {
-              finish(503);
+            if (const auto status = on_gateway(*st, outcome)) {
+              finish(*status);
               return;
             }
             // Server side has no proxy either: gateway -> server app.
             loop_.post(config_.network.intra_az, [this, st,
-                                                      finish]() mutable {
+                                                  finish]() mutable {
               st->target->handle_request(
                   st->req, [this, st, finish](http::Response& resp) mutable {
                     const std::uint64_t bytes = resp.wire_size();
                     const int status = resp.status;
                     st->backend->handle_response(
                         *st->replica, st->tuple, bytes,
-                        [this, st, finish, status]() mutable {
+                        [this, finish, status]() mutable {
                           loop_.post(2 * config_.network.intra_az,
-                                         [finish, status]() mutable {
-                                           finish(status);
-                                         });
+                                     [finish, status]() mutable {
+                                       finish(status);
+                                     });
                         });
                   });
             });
@@ -235,70 +129,17 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
   });
 }
 
-std::vector<k8s::ConfigTarget> ProxylessMesh::routing_update_targets() const {
-  std::vector<k8s::ConfigTarget> targets;
-  const std::size_t tenant_config = mesh::full_config_bytes(cluster_);
-  for (GatewayBackend* backend :
-       const_cast<MeshGateway&>(gateway_).all_backends()) {
-    if (!backend->services().empty()) {
-      targets.push_back(
-          {"gw-backend-" + std::to_string(net::id_value(backend->id())),
-           tenant_config});
-    }
-  }
-  return targets;
-}
-
-std::vector<k8s::EpochTarget> ProxylessMesh::config_epoch_targets(
-    const EngineApply& apply) const {
-  std::vector<k8s::EpochTarget> targets;
-  const std::size_t tenant_config = mesh::full_config_bytes(cluster_);
-  for (GatewayBackend* backend :
-       const_cast<MeshGateway&>(gateway_).all_backends()) {
-    if (backend->services().empty()) continue;
-    targets.push_back(
-        {{"gw-backend-" + std::to_string(net::id_value(backend->id())),
-          tenant_config},
-         [backend, apply] {
-           for (std::size_t i = 0; i < backend->replica_count(); ++i) {
-             apply(backend->replica(i)->engine());
-           }
-         }});
-  }
-  return targets;
-}
-
 std::vector<k8s::ConfigTarget> ProxylessMesh::pod_create_targets(
     const std::vector<k8s::Pod*>& new_pods) const {
+  // DNS record + ENI registration per pod, then the gateway backends'
+  // endpoint deltas.
   std::vector<k8s::ConfigTarget> targets;
-  std::vector<net::ServiceId> affected;
   for (const k8s::Pod* pod : new_pods) {
-    if (std::find(affected.begin(), affected.end(), pod->service()) ==
-        affected.end()) {
-      affected.push_back(pod->service());
-    }
-    // DNS record + ENI registration per pod.
     targets.push_back(
         {"dns-eni-" + std::to_string(net::id_value(pod->id())), 256});
   }
-  for (const auto service_id : affected) {
-    const k8s::Service* service = gateway_.service_object(service_id);
-    for (GatewayBackend* backend :
-         const_cast<MeshGateway&>(gateway_).placement_of(service_id)) {
-      targets.push_back(
-          {"gw-backend-" + std::to_string(net::id_value(backend->id())),
-           service != nullptr ? mesh::service_config_bytes(*service) : 512});
-    }
-  }
+  append_backend_targets(new_pods, targets);
   return targets;
-}
-
-double ProxylessMesh::user_cpu_core_seconds() const {
-  return app_tls_core_seconds_;
-}
-
-double ProxylessMesh::total_cpu_core_seconds() const {
-  return app_tls_core_seconds_ + gateway_.total_cpu_core_seconds();
 }
 
 }  // namespace canal::core

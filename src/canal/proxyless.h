@@ -16,6 +16,7 @@
 #include <optional>
 
 #include "canal/gateway.h"
+#include "canal/gateway_plane.h"
 #include "mesh/dataplane.h"
 #include "sim/flat_map.h"
 
@@ -59,7 +60,7 @@ class EniRegistry {
 
 /// The proxyless dataplane: app -> (DNS redirect) -> mesh gateway -> server
 /// app, with ENI-based authentication and no on-node proxies at all.
-class ProxylessMesh final : public mesh::MeshDataplane {
+class ProxylessMesh final : public GatewayPlane {
  public:
   struct Config {
     /// Customer manages certificates: TLS runs in the app's own library
@@ -85,48 +86,23 @@ class ProxylessMesh final : public mesh::MeshDataplane {
   }
   void send_request(const mesh::RequestOptions& opts,
                     mesh::RequestCallback done) override;
-  [[nodiscard]] sim::EventLoop& event_loop() noexcept override {
-    return loop_;
-  }
-  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets()
-      const override;
-  [[nodiscard]] std::vector<k8s::EpochTarget> config_epoch_targets(
-      const EngineApply& apply) const override;
   [[nodiscard]] std::vector<k8s::ConfigTarget> pod_create_targets(
       const std::vector<k8s::Pod*>& new_pods) const override;
   /// App-side TLS CPU when user_managed_certs (there is no mesh proxy, but
   /// the mesh still costs the user this much on their nodes).
-  [[nodiscard]] double user_cpu_core_seconds() const override;
-  [[nodiscard]] double total_cpu_core_seconds() const override;
+  [[nodiscard]] double user_cpu_core_seconds() const override {
+    return app_tls_core_seconds_;
+  }
   [[nodiscard]] std::size_t proxy_count() const override { return 0; }
 
   [[nodiscard]] EniRegistry& enis() noexcept { return enis_; }
-  [[nodiscard]] std::uint32_t vni_of(net::ServiceId service) const;
-  /// Observability is partial: only gateway-side request counts exist.
-  [[nodiscard]] std::uint64_t gateway_observed_requests() const noexcept {
-    return gateway_requests_;
-  }
-
- protected:
-  /// Same gateway-side ejection as CanalMesh: every replica hosting the
-  /// service flips the endpoint in its pool.
-  void apply_endpoint_health(net::ServiceId service,
-                             std::uint64_t endpoint_key,
-                             bool healthy) override;
-  [[nodiscard]] std::size_t service_endpoint_total(
-      net::ServiceId service) const override;
 
  private:
-  sim::EventLoop& loop_;
-  k8s::Cluster& cluster_;
-  MeshGateway& gateway_;
   Config config_;
   sim::Rng rng_;
   EniRegistry enis_;
-  sim::FlatHashMap<net::ServiceId, std::uint32_t, net::IdHash> vnis_;
   double app_tls_core_seconds_ = 0.0;
-  std::uint64_t gateway_requests_ = 0;
-  std::uint16_t next_port_ = 40000;
+  mesh::EphemeralPorts ports_{40000};
 };
 
 }  // namespace canal::core

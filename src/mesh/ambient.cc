@@ -20,7 +20,7 @@ proxy::ProxyCostModel AmbientMesh::Config::default_waypoint_costs() {
 
 AmbientMesh::AmbientMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                          Config config, sim::Rng rng)
-    : loop_(loop), cluster_(cluster), config_(config), rng_(rng) {}
+    : MeshDataplane(loop, cluster), config_(config), rng_(rng) {}
 
 AmbientMesh::~AmbientMesh() = default;
 
@@ -107,7 +107,7 @@ void AmbientMesh::on_pod_created(k8s::Pod& pod) {
 void AmbientMesh::reinstall_all() {
   for (auto& [id, wp] : waypoints_) {
     const k8s::Service* service =
-        const_cast<k8s::Cluster&>(cluster_).find_service(id);
+        cluster_.find_service(id);
     if (service != nullptr) install_service_config(*wp->engine, *service);
   }
   install();
@@ -134,71 +134,28 @@ void AmbientMesh::apply_endpoint_health(net::ServiceId service,
   }
 }
 
-std::size_t AmbientMesh::service_endpoint_total(net::ServiceId service) const {
-  const k8s::Service* obj = cluster_.find_service(service);
-  return obj != nullptr ? obj->endpoints.size() : 0;
-}
-
 void AmbientMesh::send_request(const RequestOptions& opts,
                                RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    RequestOptions opts;
-    RequestCallback done;
+  struct State : RequestFrame {
     proxy::ProxyEngine* client_zt = nullptr;
     proxy::ProxyEngine* waypoint = nullptr;
     proxy::ProxyEngine* server_zt = nullptr;
     const k8s::Node* waypoint_host = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
-    std::shared_ptr<telemetry::Trace> trace;
-    [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
   };
   auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = effective_tenant(opts);
-  if (opts.trace) {
-    st->trace = std::make_shared<telemetry::Trace>();
-    st->trace->set_tenant(tenant);
-  }
-  if (opts.client == nullptr) {
-    // Malformed request: no originating pod. Fail fast instead of
-    // dereferencing null below.
-    RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
-    return;
-  }
-  st->req = build_request(opts);
-  const std::uint16_t src_port =
-      opts.src_port != 0 ? opts.src_port : next_port_++;
-  st->tuple = net::FiveTuple{opts.client->ip(), service_vip(opts.dst_service),
-                             src_port, 80, net::Protocol::kTcp};
-  if (next_port_ < 20000) next_port_ = 20000;
-
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
+  auto finish = [this, st](int status) {
     if (st->opts.close_after) {
       if (st->client_zt) st->client_zt->close_connection(st->tuple);
       if (st->waypoint) st->waypoint->close_connection(st->tuple);
       if (st->server_zt) st->server_zt->close_connection(st->tuple);
     }
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
+    complete(*st, status);
   };
+  if (!open_request(*st, opts, std::move(done))) {
+    finish(400);
+    return;
+  }
+  st->tuple = ports_.tuple_for(opts, 80);
 
   if (cluster_.find_service(opts.dst_service) == nullptr) {
     // Unknown destination service: 404, matching every other dataplane
@@ -234,31 +191,15 @@ void AmbientMesh::send_request(const RequestOptions& opts,
             st->opts.client->node(), *st->waypoint_host, loop_.now());
         const sim::TimePoint wire1 = loop_.now();
         loop_.post(hop1, [this, st, finish, wire1]() mutable {
-          if (st->trace) {
-            st->trace->add("link/client-waypoint", telemetry::Component::kLink,
-                           wire1, loop_.now(), 0, st->req.wire_size());
-          }
+          link_span(*st, "link/client-waypoint", wire1, st->req.wire_size());
           // L7 routing at the shared waypoint.
           st->waypoint->handle_request(
               st->tuple, st->opts.dst_service, st->opts.new_connection,
               st->req,
               [this, st,
                finish](proxy::ProxyEngine::RequestOutcome outcome) mutable {
-                if (!outcome.ok) {
-                  finish(outcome.status);
-                  return;
-                }
-                if (outcome.endpoint == nullptr) {
-                  // 2xx/3xx direct response answered by the waypoint: no
-                  // upstream endpoint, nothing further to forward.
-                  finish(outcome.status);
-                  return;
-                }
-                st->endpoint = outcome.endpoint;
-                st->target = cluster_.find_pod(
-                    static_cast<net::PodId>(outcome.endpoint->key));
-                if (st->target == nullptr || !st->target->ready()) {
-                  finish(503);
+                if (const auto status = resolve_target(*st, outcome)) {
+                  finish(*status);
                   return;
                 }
                 st->server_zt = ztunnel_for(st->target->node()).engine.get();
@@ -267,11 +208,8 @@ void AmbientMesh::send_request(const RequestOptions& opts,
                 const sim::TimePoint wire2 = loop_.now();
                 loop_.post(hop2, [this, st, finish, hop2,
                                       wire2]() mutable {
-                  if (st->trace) {
-                    st->trace->add("link/waypoint-server",
-                                   telemetry::Component::kLink, wire2,
-                                   loop_.now(), 0, st->req.wire_size());
-                  }
+                  link_span(*st, "link/waypoint-server", wire2,
+                            st->req.wire_size());
                   // L4 termination at the server-node ztunnel.
                   st->server_zt->handle_inbound(
                       st->tuple, st->opts.dst_service,
@@ -286,14 +224,7 @@ void AmbientMesh::send_request(const RequestOptions& opts,
                             st->req,
                             [this, st, finish, hop2,
                              app_start](http::Response& resp) mutable {
-                              if (st->trace) {
-                                st->trace->add(
-                                    "app/" + std::to_string(net::id_value(
-                                                 st->target->id())),
-                                    telemetry::Component::kApp, app_start,
-                                    loop_.now(), 0, resp.wire_size(),
-                                    resp.status);
-                              }
+                              app_span(*st, app_start, resp);
                               const std::uint64_t bytes = resp.wire_size();
                               const int status = resp.status;
                               const sim::Duration hop1 =
@@ -309,12 +240,8 @@ void AmbientMesh::send_request(const RequestOptions& opts,
                                     loop_.post(hop2, [this, st, finish,
                                                           bytes, status, hop1,
                                                           wire3]() mutable {
-                                      if (st->trace) {
-                                        st->trace->add(
-                                            "link/server-waypoint",
-                                            telemetry::Component::kLink, wire3,
-                                            loop_.now(), 0, bytes);
-                                      }
+                                      link_span(*st, "link/server-waypoint",
+                                                wire3, bytes);
                                       st->waypoint->handle_response(
                                           st->tuple, bytes,
                                           [this, st, finish, bytes, status,
@@ -325,14 +252,10 @@ void AmbientMesh::send_request(const RequestOptions& opts,
                                                 hop1,
                                                 [this, st, finish, bytes,
                                                  status, wire4]() mutable {
-                                                  if (st->trace) {
-                                                    st->trace->add(
-                                                        "link/waypoint-client",
-                                                        telemetry::Component::
-                                                            kLink,
-                                                        wire4, loop_.now(), 0,
-                                                        bytes);
-                                                  }
+                                                  link_span(
+                                                      *st,
+                                                      "link/waypoint-client",
+                                                      wire4, bytes);
                                                   st->client_zt
                                                       ->handle_response(
                                                           st->tuple, bytes,
@@ -361,23 +284,6 @@ std::size_t AmbientMesh::ztunnel_config_bytes() const {
   // Workload identities for local pods + service->waypoint map.
   return 256 + 64 * cluster_.pod_count() / std::max<std::size_t>(1, ztunnels_.size()) +
          32 * cluster_.services().size();
-}
-
-std::vector<k8s::ConfigTarget> AmbientMesh::routing_update_targets() const {
-  std::vector<k8s::ConfigTarget> targets;
-  // Waypoints receive the full configuration set, like sidecars do — the
-  // scoped-config work landed late in Ambient's evolution (paper ref [16]).
-  const std::size_t wp_bytes = full_config_bytes(cluster_);
-  for (const auto& [id, wp] : waypoints_) {
-    targets.push_back(
-        {"waypoint-" + std::to_string(net::id_value(id)), wp_bytes});
-  }
-  const std::size_t zt_bytes = ztunnel_config_bytes();
-  for (const auto& [node, zt] : ztunnels_) {
-    targets.push_back(
-        {"ztunnel-" + std::to_string(net::id_value(node->id())), zt_bytes});
-  }
-  return targets;
 }
 
 std::vector<k8s::EpochTarget> AmbientMesh::config_epoch_targets(
@@ -424,7 +330,7 @@ std::vector<k8s::ConfigTarget> AmbientMesh::pod_create_targets(
   }
   for (const auto service_id : affected) {
     const k8s::Service* service =
-        const_cast<k8s::Cluster&>(cluster_).find_service(service_id);
+        cluster_.find_service(service_id);
     targets.push_back(
         {"waypoint-" + std::to_string(net::id_value(service_id)),
          service != nullptr ? service_config_bytes(*service) : 512});

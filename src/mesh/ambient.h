@@ -48,19 +48,11 @@ class AmbientMesh final : public MeshDataplane {
     return "ambient";
   }
   void send_request(const RequestOptions& opts, RequestCallback done) override;
-  [[nodiscard]] sim::EventLoop& event_loop() noexcept override {
-    return loop_;
-  }
-  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets()
-      const override;
   [[nodiscard]] std::vector<k8s::EpochTarget> config_epoch_targets(
       const EngineApply& apply) const override;
   [[nodiscard]] std::vector<k8s::ConfigTarget> pod_create_targets(
       const std::vector<k8s::Pod*>& new_pods) const override;
   [[nodiscard]] double user_cpu_core_seconds() const override;
-  [[nodiscard]] double total_cpu_core_seconds() const override {
-    return user_cpu_core_seconds();
-  }
   [[nodiscard]] std::size_t proxy_count() const override {
     return ztunnels_.size() + waypoints_.size();
   }
@@ -74,8 +66,6 @@ class AmbientMesh final : public MeshDataplane {
   void apply_endpoint_health(net::ServiceId service,
                              std::uint64_t endpoint_key,
                              bool healthy) override;
-  [[nodiscard]] std::size_t service_endpoint_total(
-      net::ServiceId service) const override;
 
  private:
   struct Ztunnel {
@@ -98,8 +88,6 @@ class AmbientMesh final : public MeshDataplane {
   Waypoint& waypoint_for(const k8s::Service& service);
   [[nodiscard]] std::size_t ztunnel_config_bytes() const;
 
-  sim::EventLoop& loop_;
-  k8s::Cluster& cluster_;
   Config config_;
   sim::Rng rng_;
   // Flat tables (DESIGN.md §14): ztunnel/waypoint lookup is per-request.
@@ -108,7 +96,7 @@ class AmbientMesh final : public MeshDataplane {
   sim::FlatOrderedMap<const k8s::Node*, std::unique_ptr<Ztunnel>> ztunnels_;
   sim::FlatOrderedMap<net::ServiceId, std::unique_ptr<Waypoint>> waypoints_;
   std::size_t waypoint_placement_cursor_ = 0;
-  std::uint16_t next_port_ = 20000;
+  EphemeralPorts ports_{20000};
 };
 
 }  // namespace canal::mesh

@@ -273,20 +273,76 @@ void MeshDataplane::enable_resilience(const proxy::ResilienceConfig& config) {
       std::make_unique<proxy::ResilienceChain>(config, std::move(hooks));
 }
 
-std::vector<k8s::EpochTarget> MeshDataplane::config_epoch_targets(
-    const EngineApply&) const {
-  std::vector<k8s::EpochTarget> targets;
-  for (auto& target : routing_update_targets()) {
-    targets.push_back({std::move(target), nullptr});
+std::vector<k8s::ConfigTarget> MeshDataplane::routing_update_targets() const {
+  std::vector<k8s::ConfigTarget> targets;
+  for (auto& target : config_epoch_targets({})) {
+    targets.push_back(std::move(target.target));
   }
   return targets;
 }
 
-void MeshDataplane::apply_endpoint_health(net::ServiceId, std::uint64_t,
-                                          bool) {}
+std::size_t MeshDataplane::service_endpoint_total(
+    net::ServiceId service) const {
+  const k8s::Service* obj = cluster_.find_service(service);
+  return obj != nullptr ? obj->endpoints.size() : 0;
+}
 
-std::size_t MeshDataplane::service_endpoint_total(net::ServiceId) const {
-  return 0;
+net::FiveTuple EphemeralPorts::tuple_for(const RequestOptions& opts,
+                                         std::uint16_t dst_port) {
+  const std::uint16_t src_port = opts.src_port != 0 ? opts.src_port : next_++;
+  if (next_ < floor_) next_ = floor_;
+  return net::FiveTuple{opts.client->ip(), service_vip(opts.dst_service),
+                        src_port, dst_port, net::Protocol::kTcp};
+}
+
+bool MeshDataplane::open_request(RequestFrame& f, const RequestOptions& opts,
+                                 RequestCallback done, bool traced) {
+  f.opts = opts;
+  f.done = std::move(done);
+  f.start = loop_.now();
+  f.tenant = effective_tenant(opts);
+  f.endpoint = nullptr;
+  f.target = nullptr;
+  f.trace.reset();
+  if (traced && opts.trace) {
+    f.trace = std::make_shared<telemetry::Trace>();
+    f.trace->set_tenant(f.tenant);
+  }
+  // Malformed request: no originating pod. The caller fails fast (400)
+  // instead of dereferencing null further down its hop chain.
+  if (opts.client == nullptr) return false;
+  build_request_into(opts, f.req);
+  return true;
+}
+
+void MeshDataplane::link_span(RequestFrame& f, std::string_view name,
+                              sim::TimePoint from, std::uint64_t bytes) {
+  if (f.trace) {
+    f.trace->add(name, telemetry::Component::kLink, from, loop_.now(), 0,
+                 bytes);
+  }
+}
+
+void MeshDataplane::app_span(RequestFrame& f, sim::TimePoint from,
+                             const http::Response& resp) {
+  if (f.trace) {
+    f.trace->add("app/" + std::to_string(net::id_value(f.target->id())),
+                 telemetry::Component::kApp, from, loop_.now(), 0,
+                 resp.wire_size(), resp.status);
+  }
+}
+
+RequestResult MeshDataplane::conclude(RequestFrame& f, int status) {
+  if (f.endpoint != nullptr && f.endpoint->active_requests > 0) {
+    --f.endpoint->active_requests;
+  }
+  RequestResult result;
+  result.status = status;
+  result.latency = loop_.now() - f.start;
+  if (f.target != nullptr) result.served_by = f.target->id();
+  result.tenant = f.tenant;
+  result.trace = std::move(f.trace);
+  return result;
 }
 
 void MeshDataplane::send_request_with_retries(const RequestOptions& opts,
@@ -388,34 +444,15 @@ void NoMesh::apply_endpoint_health(net::ServiceId, std::uint64_t endpoint_key,
   }
 }
 
-std::size_t NoMesh::service_endpoint_total(net::ServiceId service) const {
-  const k8s::Service* obj = cluster_.find_service(service);
-  return obj != nullptr ? obj->endpoints.size() : 0;
-}
-
 void NoMesh::send_request(const RequestOptions& opts, RequestCallback done) {
-  const sim::TimePoint start = loop_.now();
-  const net::TenantId tenant = effective_tenant(opts);
-  auto trace =
-      opts.trace ? std::make_shared<telemetry::Trace>() : nullptr;
-  if (trace) trace->set_tenant(tenant);
-  auto finish = [this, start, tenant, trace, done = std::move(done)](
-                    int status, net::PodId served_by) {
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - start;
-    result.served_by = served_by;
-    result.tenant = tenant;
-    result.trace = trace;
-    done(result);
-  };
-  if (opts.client == nullptr) {
-    finish(400, net::PodId{});
+  auto st = std::make_shared<RequestFrame>();
+  if (!open_request(*st, opts, std::move(done))) {
+    complete(*st, 400);
     return;
   }
   k8s::Service* service = cluster_.find_service(opts.dst_service);
   if (service == nullptr) {
-    finish(404, net::PodId{});
+    complete(*st, 404);
     return;
   }
   auto endpoints = service->ready_endpoints();
@@ -425,44 +462,29 @@ void NoMesh::send_request(const RequestOptions& opts, RequestCallback done) {
     });
   }
   if (endpoints.empty()) {
-    finish(503, net::PodId{});
+    complete(*st, 503);
     return;
   }
-  if (net_.dropped(rng_, start)) {
+  if (net_.dropped(rng_, st->start)) {
     // The request is lost on the wire: `done` never fires. Only a per-try
     // timeout in the retry layer recovers from this.
     return;
   }
-  k8s::Pod* target = endpoints[rr_++ % endpoints.size()];
+  st->target = endpoints[rr_++ % endpoints.size()];
   const sim::Duration hop =
-      net_.hop_at(opts.client->node(), target->node(), start);
-  auto req = std::make_shared<http::Request>(build_request(opts));
-  loop_.post(hop, [this, req, target, hop, trace, start,
-                       finish = std::move(finish)]() mutable {
-    if (trace) {
-      trace->add("link/client-server", telemetry::Component::kLink, start,
-                 loop_.now());
-    }
+      net_.hop_at(opts.client->node(), st->target->node(), st->start);
+  loop_.post(hop, [this, st, hop] {
+    link_span(*st, "link/client-server", st->start);
     const sim::TimePoint app_start = loop_.now();
-    target->handle_request(*req, [this, req, target, hop, trace, app_start,
-                                  finish = std::move(finish)](
-                                     http::Response& resp) mutable {
-      if (trace) {
-        trace->add("app/" + std::to_string(net::id_value(target->id())),
-                   telemetry::Component::kApp, app_start, loop_.now(), 0,
-                   resp.wire_size(), resp.status);
-      }
-      const sim::TimePoint back_start = loop_.now();
-      loop_.post(hop, [this, trace, back_start,
-                           finish = std::move(finish), status = resp.status,
-                           id = target->id()]() mutable {
-        if (trace) {
-          trace->add("link/server-client", telemetry::Component::kLink,
-                     back_start, loop_.now());
-        }
-        finish(status, id);
-      });
-    });
+    st->target->handle_request(
+        st->req, [this, st, hop, app_start](http::Response& resp) {
+          app_span(*st, app_start, resp);
+          const sim::TimePoint back_start = loop_.now();
+          loop_.post(hop, [this, st, back_start, status = resp.status] {
+            link_span(*st, "link/server-client", back_start);
+            complete(*st, status);
+          });
+        });
   });
 }
 

@@ -1,14 +1,22 @@
-// Common mesh-dataplane interface shared by the NoMesh/Istio/Ambient
-// baselines and the Canal architecture (src/canal).
+// The dataplane skeleton shared by the NoMesh/Istio/Ambient baselines and
+// the Canal architecture (src/canal).
 //
 // Each architecture composes the same proxy engine (src/proxy) into a
 // different topology; this interface lets the benchmark harness drive any
-// of them identically (Figs 10/11/13/14/15).
+// of them identically (Figs 10/11/13/14/15). Those comparisons hold only if
+// the planes differ in nothing but their proxies and hops, so everything
+// else lives here once: MeshDataplane owns the event loop and cluster, the
+// retry/resilience layer and the config-target contract, and RequestFrame
+// plus MeshDataplane's frame helpers are the per-request scaffolding (trace
+// setup, 400 fast-fail, 5-tuple, endpoint->pod resolution, link/app spans,
+// result assembly). A plane's own file keeps only its proxies, its hop
+// chain and its config fan-out.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -119,8 +127,9 @@ struct RequestResult {
   /// depend on attempt-completion timing and are plane-divergent — the
   /// oracle exempts them under the resilience-window allowlist entry.
   bool resilience_affected = false;
-  /// Populated iff RequestOptions.trace was set: ordered spans whose
-  /// durations tile [send, done] — they sum exactly to `latency`.
+  /// Populated iff RequestOptions.trace was set and the plane traces (all
+  /// but canal-proxyless): ordered spans whose durations tile [send, done]
+  /// — they sum exactly to `latency`.
   std::shared_ptr<telemetry::Trace> trace;
   [[nodiscard]] bool ok() const noexcept {
     return status >= 200 && status < 400;
@@ -201,6 +210,45 @@ class RetryBudget {
   std::uint64_t denied_ = 0;
 };
 
+/// Per-request state every plane's hop chain carries. Planes extend it with
+/// their own proxies and hop scratch (CanalMesh pools its extension for the
+/// zero-allocation fastpath, DESIGN.md §14); MeshDataplane's frame helpers
+/// read and write only these fields.
+struct RequestFrame {
+  RequestOptions opts;
+  RequestCallback done;
+  sim::TimePoint start = 0;
+  net::TenantId tenant{};
+  /// Null unless the request asked for a trace and the plane traces.
+  std::shared_ptr<telemetry::Trace> trace;
+  http::Request req;
+  net::FiveTuple tuple{};
+  /// The L7 load-balancer pick; it holds one of the endpoint's
+  /// active_requests until the request ends.
+  proxy::UpstreamEndpoint* endpoint = nullptr;
+  /// The pod serving the request (RequestResult::served_by).
+  k8s::Pod* target = nullptr;
+
+  [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
+};
+
+/// A plane's ephemeral source-port cursor: ports count up from `floor` and
+/// wrap back to it, so each plane's flows stay in its own port range.
+class EphemeralPorts {
+ public:
+  explicit EphemeralPorts(std::uint16_t floor) noexcept
+      : floor_(floor), next_(floor) {}
+
+  /// The request's 5-tuple: client pod -> service VIP on `dst_port`, from
+  /// the pinned opts.src_port or else the next ephemeral port.
+  [[nodiscard]] net::FiveTuple tuple_for(const RequestOptions& opts,
+                                         std::uint16_t dst_port);
+
+ private:
+  std::uint16_t floor_;
+  std::uint16_t next_;
+};
+
 /// A service mesh dataplane + its control-plane footprint.
 class MeshDataplane {
  public:
@@ -215,7 +263,7 @@ class MeshDataplane {
 
   /// The event loop this dataplane schedules on (used by the retry layer
   /// for per-try timeouts and backoff waits).
-  [[nodiscard]] virtual sim::EventLoop& event_loop() noexcept = 0;
+  [[nodiscard]] sim::EventLoop& event_loop() noexcept { return loop_; }
 
   /// Sends one request with client-side retries/timeouts layered on top of
   /// send_request(). Retryable failures (502/503/504 per `policy`) are
@@ -231,22 +279,21 @@ class MeshDataplane {
                                  RequestCallback done,
                                  RetryBudget* budget = nullptr);
 
-  /// Proxies that must be configured when a routing policy changes.
-  [[nodiscard]] virtual std::vector<k8s::ConfigTarget>
-  routing_update_targets() const = 0;
-
   /// Hook run against one proxy engine when its config epoch lands.
   using EngineApply = std::function<void(proxy::ProxyEngine&)>;
 
-  /// Routing-update targets paired with delivery-time apply thunks for
-  /// k8s::ConfigPropagation::push_epoch — each target's thunk runs
-  /// `apply` over the engines that target configures, bumping their
-  /// fastpath versions only when that proxy's epoch actually lands.
-  /// Targets with no L7 engine (ztunnels, proxyless DNS entries) carry a
-  /// null apply. The base implementation wraps routing_update_targets()
-  /// with null applies; engine-backed planes override it.
+  /// The proxies a routing-policy change configures, in delivery (FIFO)
+  /// order, each paired with a delivery-time thunk for
+  /// k8s::ConfigPropagation::push_epoch: the thunk runs `apply` over the
+  /// engines that target configures, so fastpath versions bump only when
+  /// that proxy's epoch actually lands. Targets with no L7 engine
+  /// (ztunnels) carry a null apply. This is each plane's one target list.
   [[nodiscard]] virtual std::vector<k8s::EpochTarget> config_epoch_targets(
-      const EngineApply& apply) const;
+      const EngineApply& apply) const = 0;
+
+  /// config_epoch_targets() without the apply thunks: the proxies that
+  /// must be configured when a routing policy changes.
+  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets() const;
 
   /// Proxies that must be configured when `new_pods` are created
   /// (before the pods are reachable).
@@ -255,8 +302,11 @@ class MeshDataplane {
 
   /// Mesh CPU burned inside the user cluster (core-seconds since start).
   [[nodiscard]] virtual double user_cpu_core_seconds() const = 0;
-  /// Mesh CPU including any cloud-side components.
-  [[nodiscard]] virtual double total_cpu_core_seconds() const = 0;
+  /// Mesh CPU including any cloud-side components (by default there are
+  /// none).
+  [[nodiscard]] virtual double total_cpu_core_seconds() const {
+    return user_cpu_core_seconds();
+  }
 
   /// Number of proxy instances the control plane manages.
   [[nodiscard]] virtual std::size_t proxy_count() const = 0;
@@ -272,18 +322,63 @@ class MeshDataplane {
   }
 
  protected:
+  MeshDataplane(sim::EventLoop& loop, k8s::Cluster& cluster)
+      : loop_(loop), cluster_(cluster) {}
+
   /// Flips one endpoint's health in every LB set this plane keeps for
   /// `service` (outlier ejection / readmission). Engine-based planes
   /// route this to UpstreamCluster::set_endpoint_health so the config
   /// version bump invalidates flow fastpath caches.
   virtual void apply_endpoint_health(net::ServiceId service,
-                                     std::uint64_t endpoint_key, bool healthy);
+                                     std::uint64_t endpoint_key,
+                                     bool healthy) = 0;
   /// Endpoint-count denominator for the max_ejection_percent bound. Every
   /// plane answers from the shared k8s service object, so the bound is
   /// identical across planes.
-  [[nodiscard]] virtual std::size_t service_endpoint_total(
+  [[nodiscard]] std::size_t service_endpoint_total(
       net::ServiceId service) const;
 
+  // ---- Request frame helpers ---------------------------------------------
+
+  /// Starts `f` for a new request at now(): stores the options and
+  /// callback, stamps the tenant, resets the endpoint/target, opens a trace
+  /// when opts.trace and `traced`, and builds the HTTP request into f.req
+  /// (reusing its buffers). Returns false — the 400 fast-fail — when the
+  /// request has no originating pod.
+  bool open_request(RequestFrame& f, const RequestOptions& opts,
+                    RequestCallback done, bool traced = true);
+
+  /// Resolves an L7 hop's outcome (proxy::ProxyEngine::RequestOutcome or
+  /// core::GatewayOutcome) to the serving pod, recording the LB pick in
+  /// `f`. Returns the status to end the request with — the hop's own on
+  /// failure or on a direct response, 503 when the picked pod is gone or
+  /// not ready — or nullopt when the request goes on to f.target.
+  template <typename Outcome>
+  std::optional<int> resolve_target(RequestFrame& f, const Outcome& outcome) {
+    if (!outcome.ok || outcome.endpoint == nullptr) return outcome.status;
+    f.endpoint = outcome.endpoint;
+    f.target =
+        cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
+    if (f.target == nullptr || !f.target->ready()) return 503;
+    return std::nullopt;
+  }
+
+  /// Records a wire crossing [from, now()] carrying `bytes` when tracing.
+  void link_span(RequestFrame& f, std::string_view name, sim::TimePoint from,
+                 std::uint64_t bytes = 0);
+  /// Records f.target's application work [from, now()] when tracing.
+  void app_span(RequestFrame& f, sim::TimePoint from,
+                const http::Response& resp);
+
+  /// Ends the request at now() with `status`: frees the endpoint's
+  /// in-flight slot and assembles the result, moving the trace out of `f`.
+  /// The caller hands it to f.done (see complete()).
+  [[nodiscard]] RequestResult conclude(RequestFrame& f, int status);
+  /// conclude(), then f.done(result).
+  void complete(RequestFrame& f, int status) { f.done(conclude(f, status)); }
+
+  sim::EventLoop& loop_;
+  k8s::Cluster& cluster_;
   std::unique_ptr<proxy::ResilienceChain> resilience_;
 };
 
@@ -324,17 +419,14 @@ class NoMesh final : public MeshDataplane {
  public:
   NoMesh(sim::EventLoop& loop, k8s::Cluster& cluster, NetworkProfile net = {},
          std::uint64_t seed = 0x6e6f2d6d657368ULL)
-      : loop_(loop), cluster_(cluster), net_(net), rng_(seed) {}
+      : MeshDataplane(loop, cluster), net_(net), rng_(seed) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "no-mesh";
   }
   void send_request(const RequestOptions& opts, RequestCallback done) override;
-  [[nodiscard]] sim::EventLoop& event_loop() noexcept override {
-    return loop_;
-  }
-  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets()
-      const override {
+  [[nodiscard]] std::vector<k8s::EpochTarget> config_epoch_targets(
+      const EngineApply&) const override {
     return {};
   }
   [[nodiscard]] std::vector<k8s::ConfigTarget> pod_create_targets(
@@ -342,7 +434,6 @@ class NoMesh final : public MeshDataplane {
     return {};
   }
   [[nodiscard]] double user_cpu_core_seconds() const override { return 0.0; }
-  [[nodiscard]] double total_cpu_core_seconds() const override { return 0.0; }
   [[nodiscard]] std::size_t proxy_count() const override { return 0; }
 
  protected:
@@ -351,12 +442,8 @@ class NoMesh final : public MeshDataplane {
   void apply_endpoint_health(net::ServiceId service,
                              std::uint64_t endpoint_key,
                              bool healthy) override;
-  [[nodiscard]] std::size_t service_endpoint_total(
-      net::ServiceId service) const override;
 
  private:
-  sim::EventLoop& loop_;
-  k8s::Cluster& cluster_;
   NetworkProfile net_;
   sim::Rng rng_;  ///< loss decisions under an armed fault plan
   std::size_t rr_ = 0;

@@ -15,7 +15,7 @@ proxy::ProxyCostModel IstioMesh::Config::default_sidecar_costs() {
 
 IstioMesh::IstioMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                      Config config, sim::Rng rng)
-    : loop_(loop), cluster_(cluster), config_(config), rng_(rng) {}
+    : MeshDataplane(loop, cluster), config_(config), rng_(rng) {}
 
 IstioMesh::~IstioMesh() = default;
 
@@ -48,7 +48,7 @@ void IstioMesh::add_sidecar(k8s::Pod& pod) {
         accel->submit(std::move(done));
       });
   install_full_config(*engine, cluster_);
-  sidecars_[pod.id()] = Sidecar{std::move(engine), &pod};
+  sidecars_[pod.id()] = std::move(engine);
 }
 
 void IstioMesh::install() {
@@ -62,13 +62,13 @@ void IstioMesh::install() {
 
 void IstioMesh::reinstall_all() {
   for (auto& [id, sidecar] : sidecars_) {
-    install_full_config(*sidecar.engine, cluster_);
+    install_full_config(*sidecar, cluster_);
   }
 }
 
 proxy::ProxyEngine* IstioMesh::sidecar_engine(net::PodId pod) {
   const auto it = sidecars_.find(pod);
-  return it == sidecars_.end() ? nullptr : it->second.engine.get();
+  return it == sidecars_.end() ? nullptr : it->second.get();
 }
 
 void IstioMesh::apply_endpoint_health(net::ServiceId service,
@@ -77,81 +77,38 @@ void IstioMesh::apply_endpoint_health(net::ServiceId service,
   const std::string cluster_name = service_cluster_name(service);
   for (auto& [id, sidecar] : sidecars_) {
     if (proxy::UpstreamCluster* c =
-            sidecar.engine->clusters().find(cluster_name)) {
+            sidecar->clusters().find(cluster_name)) {
       c->set_endpoint_health(endpoint_key, healthy);
     }
   }
 }
 
-std::size_t IstioMesh::service_endpoint_total(net::ServiceId service) const {
-  const k8s::Service* obj = cluster_.find_service(service);
-  return obj != nullptr ? obj->endpoints.size() : 0;
-}
-
 void IstioMesh::send_request(const RequestOptions& opts,
                              RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    RequestOptions opts;
-    RequestCallback done;
+  struct State : RequestFrame {
     proxy::ProxyEngine* client_sc = nullptr;
     proxy::ProxyEngine* server_sc = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
-    std::shared_ptr<telemetry::Trace> trace;
-    [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
   };
   auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = effective_tenant(opts);
-  if (opts.trace) {
-    st->trace = std::make_shared<telemetry::Trace>();
-    st->trace->set_tenant(tenant);
-  }
-  if (opts.client == nullptr) {
-    // Malformed request: no originating pod. Fail fast instead of
-    // dereferencing null below.
-    RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
-    return;
-  }
-  st->req = build_request(opts);
-  const std::uint16_t src_port =
-      opts.src_port != 0 ? opts.src_port : next_port_++;
-  st->tuple = net::FiveTuple{opts.client->ip(), service_vip(opts.dst_service),
-                             src_port, 80, net::Protocol::kTcp};
-  if (next_port_ < 10000) next_port_ = 10000;
-
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
+  auto finish = [this, st](int status) {
     if (st->opts.close_after) {
       if (st->client_sc) st->client_sc->close_connection(st->tuple);
       if (st->server_sc) st->server_sc->close_connection(st->tuple);
     }
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
+    complete(*st, status);
   };
+  if (!open_request(*st, opts, std::move(done))) {
+    finish(400);
+    return;
+  }
+  st->tuple = ports_.tuple_for(opts, 80);
 
   const auto sc_it = sidecars_.find(opts.client->id());
   if (sc_it == sidecars_.end()) {
     finish(500);
     return;
   }
-  st->client_sc = sc_it->second.engine.get();
+  st->client_sc = sc_it->second.get();
 
   if (config_.network.dropped(rng_, st->start)) {
     // Lost on the wire: `done` never fires; only a per-try timeout in the
@@ -164,21 +121,8 @@ void IstioMesh::send_request(const RequestOptions& opts,
   st->client_sc->handle_request(
       st->tuple, opts.dst_service, opts.new_connection, st->req,
       [this, st, finish](proxy::ProxyEngine::RequestOutcome outcome) mutable {
-        if (!outcome.ok) {
-          finish(outcome.status);
-          return;
-        }
-        if (outcome.endpoint == nullptr) {
-          // 2xx/3xx direct response answered by the sidecar itself: there
-          // is no upstream endpoint and nothing further to forward.
-          finish(outcome.status);
-          return;
-        }
-        st->endpoint = outcome.endpoint;
-        st->target =
-            cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
-        if (st->target == nullptr || !st->target->ready()) {
-          finish(503);
+        if (const auto status = resolve_target(*st, outcome)) {
+          finish(*status);
           return;
         }
         const auto server_it = sidecars_.find(st->target->id());
@@ -186,17 +130,14 @@ void IstioMesh::send_request(const RequestOptions& opts,
           finish(503);
           return;
         }
-        st->server_sc = server_it->second.engine.get();
+        st->server_sc = server_it->second.get();
         const sim::Duration hop = config_.network.hop_at(
             st->opts.client->node(), st->target->node(), loop_.now());
 
         // Wire transit, then inbound through the server-side sidecar.
         const sim::TimePoint wire_out = loop_.now();
         loop_.post(hop, [this, st, finish, hop, wire_out]() mutable {
-          if (st->trace) {
-            st->trace->add("link/client-server", telemetry::Component::kLink,
-                           wire_out, loop_.now(), 0, st->req.wire_size());
-          }
+          link_span(*st, "link/client-server", wire_out, st->req.wire_size());
           st->server_sc->handle_inbound(
               st->tuple, st->opts.dst_service, st->opts.new_connection,
               st->req.wire_size(),
@@ -209,13 +150,7 @@ void IstioMesh::send_request(const RequestOptions& opts,
                 st->target->handle_request(
                     st->req, [this, st, finish, hop,
                               app_start](http::Response& resp) mutable {
-                      if (st->trace) {
-                        st->trace->add(
-                            "app/" +
-                                std::to_string(net::id_value(st->target->id())),
-                            telemetry::Component::kApp, app_start, loop_.now(),
-                            0, resp.wire_size(), resp.status);
-                      }
+                      app_span(*st, app_start, resp);
                       const std::uint64_t resp_bytes = resp.wire_size();
                       const int status = resp.status;
                       // Response: server sidecar -> wire -> client sidecar.
@@ -224,13 +159,9 @@ void IstioMesh::send_request(const RequestOptions& opts,
                           [this, st, finish, hop, resp_bytes, status]() mutable {
                             const sim::TimePoint wire_back = loop_.now();
                             loop_.post(hop, [this, st, finish, resp_bytes,
-                                                 status, wire_back]() mutable {
-                              if (st->trace) {
-                                st->trace->add("link/server-client",
-                                               telemetry::Component::kLink,
-                                               wire_back, loop_.now(), 0,
-                                               resp_bytes);
-                              }
+                                             status, wire_back]() mutable {
+                              link_span(*st, "link/server-client", wire_back,
+                                        resp_bytes);
                               st->client_sc->handle_response(
                                   st->tuple, resp_bytes,
                                   [finish, status]() mutable {
@@ -248,17 +179,6 @@ void IstioMesh::send_request(const RequestOptions& opts,
       st->tracer());
 }
 
-std::vector<k8s::ConfigTarget> IstioMesh::routing_update_targets() const {
-  // Any update -> full config to every sidecar.
-  std::vector<k8s::ConfigTarget> targets;
-  const std::size_t bytes = full_config_bytes(cluster_);
-  targets.reserve(sidecars_.size());
-  for (const auto& [id, sidecar] : sidecars_) {
-    targets.push_back({"sidecar-" + std::to_string(net::id_value(id)), bytes});
-  }
-  return targets;
-}
-
 std::vector<k8s::EpochTarget> IstioMesh::config_epoch_targets(
     const EngineApply& apply) const {
   // One epoch target per sidecar; the apply thunk resolves the sidecar by
@@ -273,7 +193,7 @@ std::vector<k8s::EpochTarget> IstioMesh::config_epoch_targets(
         {{"sidecar-" + std::to_string(net::id_value(pod_id)), bytes},
          [self, pod_id, apply] {
            auto it = self->sidecars_.find(pod_id);
-           if (it != self->sidecars_.end()) apply(*it->second.engine);
+           if (it != self->sidecars_.end()) apply(*it->second);
          }});
   }
   return targets;
@@ -300,15 +220,6 @@ double IstioMesh::user_cpu_core_seconds() const {
     total += pool->cpu.total_busy_core_seconds();
   }
   return total;
-}
-
-double IstioMesh::sidecar_utilization(sim::Duration window) const {
-  if (pools_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& [node, pool] : pools_) {
-    sum += pool->cpu.utilization(window);
-  }
-  return sum / static_cast<double>(pools_.size());
 }
 
 }  // namespace canal::mesh

@@ -48,26 +48,16 @@ class IstioMesh final : public MeshDataplane {
     return "istio";
   }
   void send_request(const RequestOptions& opts, RequestCallback done) override;
-  [[nodiscard]] sim::EventLoop& event_loop() noexcept override {
-    return loop_;
-  }
-  [[nodiscard]] std::vector<k8s::ConfigTarget> routing_update_targets()
-      const override;
   [[nodiscard]] std::vector<k8s::EpochTarget> config_epoch_targets(
       const EngineApply& apply) const override;
   [[nodiscard]] std::vector<k8s::ConfigTarget> pod_create_targets(
       const std::vector<k8s::Pod*>& new_pods) const override;
   [[nodiscard]] double user_cpu_core_seconds() const override;
-  [[nodiscard]] double total_cpu_core_seconds() const override {
-    return user_cpu_core_seconds();
-  }
   [[nodiscard]] std::size_t proxy_count() const override {
     return sidecars_.size();
   }
 
   [[nodiscard]] proxy::ProxyEngine* sidecar_engine(net::PodId pod);
-  /// Mean utilization of all sidecar CPU pools over the window.
-  [[nodiscard]] double sidecar_utilization(sim::Duration window) const;
 
  protected:
   /// Outlier ejection reaches every sidecar's endpoint pool (each sidecar
@@ -75,8 +65,6 @@ class IstioMesh final : public MeshDataplane {
   void apply_endpoint_health(net::ServiceId service,
                              std::uint64_t endpoint_key,
                              bool healthy) override;
-  [[nodiscard]] std::size_t service_endpoint_total(
-      net::ServiceId service) const override;
 
  private:
   struct NodePool {
@@ -85,22 +73,17 @@ class IstioMesh final : public MeshDataplane {
     sim::CpuSet cpu;
     std::unique_ptr<crypto::AsymmetricAccelerator> accel;
   };
-  struct Sidecar {
-    std::unique_ptr<proxy::ProxyEngine> engine;
-    k8s::Pod* pod = nullptr;
-  };
 
   NodePool& pool_for(const k8s::Node& node);
 
-  sim::EventLoop& loop_;
-  k8s::Cluster& cluster_;
   Config config_;
   sim::Rng rng_;
   // Flat tables (DESIGN.md §14): sidecar lookup is per-request. Ordered so
   // config-push target lists and CPU sums iterate in a fixed key order.
   sim::FlatOrderedMap<const k8s::Node*, std::unique_ptr<NodePool>> pools_;
-  sim::FlatOrderedMap<net::PodId, Sidecar> sidecars_;
-  std::uint16_t next_port_ = 10000;
+  sim::FlatOrderedMap<net::PodId, std::unique_ptr<proxy::ProxyEngine>>
+      sidecars_;
+  EphemeralPorts ports_{10000};
 };
 
 }  // namespace canal::mesh

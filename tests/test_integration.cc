@@ -195,7 +195,14 @@ TEST(Proxyless, ServesRequestsWithoutAnyProxy) {
   EXPECT_EQ(world.proxyless->proxy_count(), 0u);
   const auto result = world.one(*world.proxyless);
   EXPECT_EQ(result.status, 200);
-  EXPECT_GT(world.proxyless->gateway_observed_requests(), 0u);
+  // Observability is gateway-side only: the backends hosting the service
+  // counted the request.
+  std::uint64_t observed = 0;
+  for (core::GatewayBackend* backend :
+       world.gateway->placement_of(world.api->id)) {
+    observed += backend->stats_for(world.api->id).total_requests();
+  }
+  EXPECT_EQ(observed, 1u);
 }
 
 TEST(Proxyless, UnauthenticatedPodRejected) {
