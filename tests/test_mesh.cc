@@ -378,13 +378,20 @@ struct PlaneFixture {
 const char* const kPlanes[] = {"nomesh", "istio", "ambient", "canal",
                                "proxyless"};
 
+// Every error result still carries the request's tenant, and a request
+// that never reached a pod names no server.
+
 TEST(ErrorPaths, NullClientIs400OnEveryPlane) {
   for (const char* name : kPlanes) {
     SCOPED_TRACE(name);
     PlaneFixture fx(name);
     RequestOptions opts = fx.bed.request_to_backend();
     opts.client = nullptr;
-    EXPECT_EQ(run_one(fx.bed.loop, *fx.plane, opts).status, 400);
+    opts.tenant = static_cast<net::TenantId>(7);  // no client pod to derive it
+    const RequestResult result = run_one(fx.bed.loop, *fx.plane, opts);
+    EXPECT_EQ(result.status, 400);
+    EXPECT_EQ(result.tenant, effective_tenant(opts));
+    EXPECT_EQ(result.served_by, net::PodId{});
   }
 }
 
@@ -394,7 +401,10 @@ TEST(ErrorPaths, UnknownServiceIs404OnEveryPlane) {
     PlaneFixture fx(name);
     RequestOptions opts = fx.bed.request_to_backend();
     opts.dst_service = static_cast<net::ServiceId>(0xDEAD);
-    EXPECT_EQ(run_one(fx.bed.loop, *fx.plane, opts).status, 404);
+    const RequestResult result = run_one(fx.bed.loop, *fx.plane, opts);
+    EXPECT_EQ(result.status, 404);
+    EXPECT_EQ(result.tenant, effective_tenant(opts));
+    EXPECT_EQ(result.served_by, net::PodId{});
   }
 }
 
@@ -405,9 +415,10 @@ TEST(ErrorPaths, NoReadyEndpointsIs503OnEveryPlane) {
     for (k8s::Pod* pod : fx.bed.backend->endpoints) {
       pod->set_phase(k8s::PodPhase::kTerminated);
     }
-    EXPECT_EQ(
-        run_one(fx.bed.loop, *fx.plane, fx.bed.request_to_backend()).status,
-        503);
+    const RequestOptions opts = fx.bed.request_to_backend();
+    const RequestResult result = run_one(fx.bed.loop, *fx.plane, opts);
+    EXPECT_EQ(result.status, 503);
+    EXPECT_EQ(result.tenant, effective_tenant(opts));
   }
 }
 

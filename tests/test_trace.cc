@@ -349,6 +349,16 @@ TEST(TracedRequest, CanalDecomposesExactly) {
   }
 }
 
+TEST(TracedRequest, ProxylessIsUntraced) {
+  // Proxyless observability is gateway-side only: there is no on-node
+  // collection point, so even a traced request comes back without a trace.
+  TraceWorld world;
+  world.build_proxyless();
+  const auto result = world.traced(*world.proxyless);
+  EXPECT_EQ(result.status, 200);
+  EXPECT_EQ(result.trace, nullptr);
+}
+
 TEST(TracedRequest, TracingIsOptIn) {
   TraceWorld world;
   world.build_canal();
