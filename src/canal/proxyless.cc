@@ -82,6 +82,12 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
     return;
   }
 
+  if (config_.network.dropped(rng_, st->start)) {
+    // Lost on the wire: `done` never fires; only a per-try timeout in the
+    // retry layer recovers.
+    return;
+  }
+
   // Client-side TLS in the app's own library when the customer manages
   // certificates; this burns the user's node CPU (there is no proxy).
   sim::Duration app_crypto = 0;
@@ -98,8 +104,9 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
     // rides the tenant's VXLAN network to the gateway.
     const net::Packet packet = encapsulate(*st);
     const net::AzId client_az = st->opts.client->node().az();
-    loop_.post(config_.network.intra_az, [this, st, finish, packet,
-                                          client_az]() mutable {
+    const sim::Duration hop1 = config_.network.intra_az +
+                               config_.network.fault_latency(loop_.now());
+    loop_.post(hop1, [this, st, finish, packet, client_az]() mutable {
       gateway_.handle_request(
           packet, st->opts.new_connection, config_.user_managed_certs,
           st->req, client_az, [this, st, finish](GatewayOutcome outcome) mutable {
@@ -108,8 +115,10 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
               return;
             }
             // Server side has no proxy either: gateway -> server app.
-            loop_.post(config_.network.intra_az, [this, st,
-                                                  finish]() mutable {
+            const sim::Duration hop2 =
+                config_.network.intra_az +
+                config_.network.fault_latency(loop_.now());
+            loop_.post(hop2, [this, st, finish]() mutable {
               st->target->handle_request(
                   st->req, [this, st, finish](http::Response& resp) mutable {
                     const std::uint64_t bytes = resp.wire_size();
@@ -117,10 +126,13 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
                     st->backend->handle_response(
                         *st->replica, st->tuple, bytes,
                         [this, finish, status]() mutable {
-                          loop_.post(2 * config_.network.intra_az,
-                                     [finish, status]() mutable {
-                                       finish(status);
-                                     });
+                          // Two crossings back: server -> gateway -> client.
+                          const sim::Duration back =
+                              2 * (config_.network.intra_az +
+                                   config_.network.fault_latency(loop_.now()));
+                          loop_.post(back, [finish, status]() mutable {
+                            finish(status);
+                          });
                         });
                   });
             });

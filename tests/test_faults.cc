@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "canal/fault_injector.h"
@@ -73,6 +75,33 @@ struct MeshTestbed : core::Topology {
     return opts;
   }
 };
+
+const char* const kPlanes[] = {"nomesh", "istio", "ambient", "canal",
+                               "proxyless"};
+
+/// Builds plane `name` on `bed` with its links under `net`.
+mesh::MeshDataplane& build_plane(MeshTestbed& bed, const std::string& name,
+                                 const mesh::NetworkProfile& net) {
+  if (name == "nomesh") return bed.build_nomesh(net);
+  if (name == "istio") {
+    mesh::IstioMesh::Config config;
+    config.network = net;
+    return bed.build_istio(config);
+  }
+  if (name == "ambient") {
+    mesh::AmbientMesh::Config config;
+    config.network = net;
+    return bed.build_ambient(config);
+  }
+  if (name == "canal") {
+    core::CanalMesh::Config config;
+    config.network = net;
+    return bed.build_canal(config);
+  }
+  core::ProxylessMesh::Config config;
+  config.network = net;
+  return bed.build_proxyless(config);
+}
 
 mesh::RequestResult run_with_retries(sim::EventLoop& loop,
                                      mesh::MeshDataplane& mesh,
@@ -206,24 +235,59 @@ TEST(Retry, NonRetryableStatusesAreNotRetried) {
 }
 
 TEST(Retry, PerTryTimeoutClassifiesDroppedRequestAs504) {
-  MeshTestbed bed;
-  sim::FaultPlan plan;
-  plan.link_loss(0, sim::seconds(10), 1.0);
-  mesh::NetworkProfile net;
-  net.faults = &plan;
-  mesh::NoMesh& mesh = bed.build_nomesh(net);
+  for (const char* name : kPlanes) {
+    SCOPED_TRACE(name);
+    MeshTestbed bed;
+    sim::FaultPlan plan;
+    plan.link_loss(0, sim::seconds(10), 1.0);
+    mesh::NetworkProfile net;
+    net.faults = &plan;
+    mesh::MeshDataplane& mesh = build_plane(bed, name, net);
 
-  mesh::RetryPolicy policy;
-  policy.max_attempts = 1;
-  policy.per_try_timeout = milliseconds(25);
-  sim::Rng rng(7);
-  const auto result = run_with_retries(bed.loop, mesh,
-                                       bed.request_to_backend(), policy, rng);
-  // The request vanished on the wire; only the per-try timeout answers.
-  EXPECT_EQ(result.status, 504);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_EQ(result.attempts, 1u);
-  EXPECT_EQ(result.latency, milliseconds(25));
+    mesh::RetryPolicy policy;
+    policy.max_attempts = 1;
+    policy.per_try_timeout = milliseconds(25);
+    sim::Rng rng(7);
+    const auto result = run_with_retries(
+        bed.loop, mesh, bed.request_to_backend(), policy, rng);
+    // The request vanished on the wire; only the per-try timeout answers.
+    EXPECT_EQ(result.status, 504);
+    EXPECT_TRUE(result.timed_out);
+    EXPECT_EQ(result.attempts, 1u);
+    EXPECT_EQ(result.latency, milliseconds(25));
+  }
+}
+
+TEST(Retry, LatencySpikeDelaysEveryWireCrossing) {
+  // One request per plane, with and without a link latency spike covering
+  // the whole run: the spike is paid once per wire crossing of the hop
+  // chain, so the latency grows by exactly crossings x spike.
+  const std::pair<const char*, int> crossings[] = {
+      {"nomesh", 2}, {"istio", 2}, {"ambient", 4}, {"canal", 4},
+      {"proxyless", 4}};
+  constexpr sim::Duration kSpike = sim::microseconds(700);
+  for (const auto& [name, hops] : crossings) {
+    SCOPED_TRACE(name);
+    mesh::RetryPolicy policy;
+    policy.max_attempts = 1;
+    sim::Rng rng(7);
+    MeshTestbed calm;
+    const auto base =
+        run_with_retries(calm.loop, build_plane(calm, name, {}),
+                         calm.request_to_backend(), policy, rng);
+
+    MeshTestbed spiked;
+    sim::FaultPlan plan;
+    plan.link_latency_spike(0, sim::seconds(10), kSpike);
+    mesh::NetworkProfile net;
+    net.faults = &plan;
+    const auto slow =
+        run_with_retries(spiked.loop, build_plane(spiked, name, net),
+                         spiked.request_to_backend(), policy, rng);
+    EXPECT_EQ(base.status, 200);
+    EXPECT_EQ(slow.status, 200);
+    EXPECT_EQ(slow.latency - base.latency, hops * kSpike);
+  }
 }
 
 TEST(Retry, RecoversOnceLossWindowEnds) {
