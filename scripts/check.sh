@@ -14,7 +14,9 @@
 #               the threaded runner), plus the full default bench_suite
 #               grid at seed 1 on 8 workers. Any data race fails the gate.
 #
-# The default (Release, -O2) path also runs the determinism gate: the
+# The default (Release, -O2) path also builds and runs the perfbench/
+# benchmark (one second per workload, which must report correct results
+# with no failed operation) and runs the determinism gate: the
 # bench suite is run twice in scratch dirs — once at --jobs 8, once at
 # --jobs 1 — and every BENCH_*.json either run writes must be
 # byte-identical to the committed golden of that name, and every
@@ -74,6 +76,27 @@ else
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build_dir}" -j "${jobs}"
   ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure
+
+  # Benchmark-build gate: perfbench/ is its own CMake package compiling
+  # ../src, and nothing above builds it, so a src/ API change could break
+  # the benchmark unnoticed. Each workload must build, run for one second
+  # at seed 1 (where run.py also pins region_sharded to BENCH_region.json)
+  # and report correct results with no failed operation on its last line.
+  for workload in canal_steady plane_churn region_sharded; do
+    last="$(cd "${repo_root}" && python3 perfbench/run.py \
+      --workload "${workload}" --seed 1 --seconds 1 --trace 0 \
+      2> /dev/null | tail -n 1)" || true
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+      "${last}" 2> /dev/null; then
+      echo "benchmark-build gate FAILED: perfbench ${workload} did not" \
+        "report correct results with 0 failed (last line: ${last})" >&2
+      exit 1
+    fi
+  done
+  echo "benchmark-build gate OK: perfbench builds and all three workloads" \
+    "report correct results with 0 failed"
 
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
   # run must both reproduce the committed goldens byte-for-byte: every
