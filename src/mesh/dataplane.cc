@@ -315,14 +315,6 @@ bool MeshDataplane::open_request(RequestFrame& f, const RequestOptions& opts,
   return true;
 }
 
-void MeshDataplane::link_span(RequestFrame& f, std::string_view name,
-                              sim::TimePoint from, std::uint64_t bytes) {
-  if (f.trace) {
-    f.trace->add(name, telemetry::Component::kLink, from, loop_.now(), 0,
-                 bytes);
-  }
-}
-
 void MeshDataplane::app_span(RequestFrame& f, sim::TimePoint from,
                              const http::Response& resp) {
   if (f.trace) {

@@ -365,7 +365,12 @@ class MeshDataplane {
 
   /// Records a wire crossing [from, now()] carrying `bytes` when tracing.
   void link_span(RequestFrame& f, std::string_view name, sim::TimePoint from,
-                 std::uint64_t bytes = 0);
+                 std::uint64_t bytes = 0) {
+    if (f.trace) {
+      f.trace->add(name, telemetry::Component::kLink, from, loop_.now(), 0,
+                   bytes);
+    }
+  }
   /// Records f.target's application work [from, now()] when tracing.
   void app_span(RequestFrame& f, sim::TimePoint from,
                 const http::Response& resp);
