@@ -44,33 +44,32 @@ void CpuCore::prune(TimePoint horizon) {
 }
 
 double CpuCore::utilization(Duration window) const {
-  if (window <= 0) return 0.0;
+  if (window <= 0 || intervals_.empty()) return 0.0;
+  // busy = B(hi) - B(lo), where B(t) is the retained busy time through t
+  // on top of dropped_cum_. Every interval starts at or before the `now`
+  // it was recorded at, so only the newest can run past hi = now, and it
+  // ends at free_at_: B(hi) comes from the running total alone. B(lo) is
+  // dropped_cum_ whenever lo is at or before the oldest retained start;
+  // otherwise one binary search finds the first interval ending after lo
+  // and the prefix-sum column plus a clip gives it. Pure integer
+  // arithmetic, so the result is bit-identical to a linear overlap sum.
   const TimePoint hi = loop_.now();
   const TimePoint lo = hi - window;
-  // Intervals are appended in nondecreasing (start, end) order and are
-  // disjoint, so the window's overlap set is the contiguous index range
-  // [first, last): binary-search both ends, then read the busy total out
-  // of the prefix-sum column and clip the two boundary intervals — only
-  // the first can start before `lo` and only the last can end after `hi`.
-  // Pure integer arithmetic, so the result is bit-identical to the old
-  // linear accumulation.
-  const std::size_t n = intervals_.size();
-  std::size_t first = 0;
-  for (std::size_t step = n; step > 0; step /= 2) {  // first with end > lo
-    while (first + step <= n && intervals_[first + step - 1].end <= lo) {
-      first += step;
+  Duration busy = total_busy_ - (free_at_ > hi ? free_at_ - hi : 0);
+  if (lo <= intervals_.front().start) {
+    busy -= dropped_cum_;
+  } else {
+    const std::size_t n = intervals_.size();
+    std::size_t first = 0;
+    for (std::size_t step = n; step > 0; step /= 2) {  // first with end > lo
+      while (first + step <= n && intervals_[first + step - 1].end <= lo) {
+        first += step;
+      }
     }
+    if (first == n) return 0.0;
+    busy -= first == 0 ? dropped_cum_ : cum_[first - 1];
+    if (intervals_[first].start < lo) busy -= lo - intervals_[first].start;
   }
-  std::size_t last = first;
-  for (std::size_t step = n; step > 0; step /= 2) {  // first with start >= hi
-    while (last + step <= n && intervals_[last + step - 1].start < hi) {
-      last += step;
-    }
-  }
-  if (first >= last) return 0.0;
-  Duration busy = cum_[last - 1] - (first == 0 ? dropped_cum_ : cum_[first - 1]);
-  if (intervals_[first].start < lo) busy -= lo - intervals_[first].start;
-  if (intervals_[last - 1].end > hi) busy -= intervals_[last - 1].end - hi;
   return static_cast<double>(busy) / static_cast<double>(window);
 }
 

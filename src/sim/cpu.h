@@ -90,11 +90,12 @@ class CpuCore {
   // Busy intervals plus a parallel prefix-sum column: cum_[i] is the total
   // busy time of every interval ever recorded up through intervals_[i]
   // (including pruned ones, via dropped_cum_), maintained in lockstep with
-  // intervals_ (push/pop/coalesce). A utilization query then reduces to two
-  // binary searches plus integer subtraction instead of a linear walk over
-  // the window — the walk was O(window-population) per query and dominated
-  // the gateway's per-request placement scoring. RingDeque keeps the
-  // steady-state slide (push_back/pop_front) allocation-free.
+  // intervals_ (push/pop/coalesce). A utilization query reads busy time
+  // through `now` from total_busy_ and free_at_, and busy time through the
+  // window's start from dropped_cum_ when the window reaches past the
+  // oldest retained interval, else from one binary search plus cum_ — no
+  // walk over the window's population. RingDeque keeps the steady-state
+  // slide (push_back/pop_front) allocation-free.
   RingDeque<Interval> intervals_;
   RingDeque<Duration> cum_;
   Duration dropped_cum_ = 0;  // cum_ value of the last pruned interval

@@ -1,7 +1,10 @@
 // Unit tests for the simulation core: event loop, RNG, CPU model, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -498,6 +501,142 @@ TEST(CpuCore, UtilizationCorrectAfterCapPrune) {
   loop.run();
   EXPECT_NEAR(core.utilization(milliseconds(10)), 0.5, 0.01);
   EXPECT_NEAR(core.utilization(milliseconds(1)), 0.5, 0.01);
+}
+
+// Busy time of `jobs` (start, end) overlapping [lo, hi]: a linear walk back
+// from the newest job. Job ends are nondecreasing, so the walk stops at the
+// first job that ends at or before `lo`.
+Duration overlap(const std::vector<std::pair<TimePoint, TimePoint>>& jobs,
+                 TimePoint lo, TimePoint hi) {
+  Duration busy = 0;
+  for (auto it = jobs.rbegin(); it != jobs.rend() && it->second > lo; ++it) {
+    busy += std::max<Duration>(
+        0, std::min(it->second, hi) - std::max(it->first, lo));
+  }
+  return busy;
+}
+
+// Drives one core with a random job stream that mixes idle gaps,
+// back-to-back jobs, jobs queued behind busy time, and zero- and
+// negative-cost jobs, reading utilization after every job. Windows the
+// retained intervals cover are checked exactly against `overlap` over a job
+// log rebuilt from execute's return value and the cost; reads at the
+// `checkpoint` windows (5 s and longer than `history`) that reach into
+// pruned intervals are appended to `beyond`. Returns how many merged busy
+// intervals were pruned by the end.
+std::size_t drive_utilization(Duration history, std::size_t jobs,
+                              Duration mean_cost, double gap_share,
+                              std::size_t checkpoint,
+                              std::vector<double>& beyond) {
+  EventLoop loop;
+  CpuCore core(loop, history);
+  Rng rng(97);
+  std::vector<std::pair<TimePoint, TimePoint>> log;     // positive-cost jobs
+  std::vector<std::pair<TimePoint, TimePoint>> merged;  // coalesced, unpruned
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    const TimePoint idle_at = std::max(loop.now(), core.free_at());
+    if (rng.uniform() < gap_share) {
+      loop.run_until(idle_at + rng.uniform_int(1, 3 * mean_cost));
+    } else {
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // back-to-back: starts exactly when the core frees up
+          loop.run_until(idle_at);
+          break;
+        case 1:  // queued behind part of the backlog
+          loop.run_until(loop.now() + rng.uniform_int(0, core.backlog()));
+          break;
+        default:  // same instant as the previous job
+          break;
+      }
+    }
+    Duration cost = rng.uniform_int(1, 2 * mean_cost);
+    const std::int64_t kind = rng.uniform_int(0, 7);
+    if (kind == 0) cost = 0;
+    if (kind == 1) cost = -cost;
+    const TimePoint end = core.execute(cost);
+    if (cost > 0) {
+      const TimePoint start = end - cost;
+      log.emplace_back(start, end);
+      if (!merged.empty() && merged.back().second == start) {
+        merged.back().second = end;
+      } else {
+        merged.emplace_back(start, end);
+      }
+    }
+    EXPECT_LE(core.interval_count(), merged.size());
+    pruned = merged.size() - core.interval_count();
+    const TimePoint now = loop.now();
+    // Earliest window start the retained intervals fully account for.
+    const TimePoint covered_from =
+        pruned == 0 ? std::numeric_limits<TimePoint>::min()
+                    : merged[pruned - 1].second;
+    const auto check = [&](Duration window, bool record) {
+      const double got = core.utilization(window);
+      if (window <= 0) {
+        EXPECT_EQ(got, 0.0) << "window " << window << " at job " << i;
+        return;
+      }
+      const TimePoint lo = now - window;
+      if (lo >= covered_from) {
+        EXPECT_EQ(got, static_cast<double>(overlap(log, lo, now)) /
+                           static_cast<double>(window))
+            << "window " << window << " at job " << i;
+      } else if (record) {
+        beyond.push_back(got);
+      }
+    };
+    check(0, false);
+    check(-rng.uniform_int(1, mean_cost), false);
+    check(1, false);
+    check(rng.uniform_int(1, mean_cost), false);  // sub-interval length
+    if (i % 64 == 0) {  // anywhere inside the retained history
+      const Duration reach =
+          pruned == 0 ? now + 2 * mean_cost : now - covered_from;
+      check(rng.uniform_int(1, std::max<Duration>(1, reach)), false);
+    }
+    if (i % checkpoint == checkpoint - 1) {
+      check(seconds(5), true);
+      check(history + mean_cost, true);
+    }
+  }
+  return pruned;
+}
+
+TEST(CpuCore, UtilizationMatchesReference) {
+  std::vector<double> beyond;
+  // Time pruning: a 50 us history over ~15 ms of jobs.
+  EXPECT_GT(drive_utilization(microseconds(50), 4000, microseconds(3),
+                              /*gap_share=*/0.4, /*checkpoint=*/500, beyond),
+            0u);
+  // Hard-cap pruning: a one-year history, mostly gapped jobs, more merged
+  // intervals than kMaxIntervals.
+  EXPECT_GT(drive_utilization(365 * 24 * 60 * kMinute, 110000,
+                              microseconds(1), /*gap_share=*/0.9,
+                              /*checkpoint=*/10000, beyond),
+            0u);
+  // Reads that reach past the history or the cap, recorded from the
+  // earlier per-query two-binary-search implementation.
+  const std::vector<double> expected = {
+      5.1263999999999997e-06,
+      4.3317999999999998e-06,
+      0.40866037735849059,
+      6.7673999999999998e-06,
+      3.8928000000000002e-06,
+      0.36724528301886794,
+      3.5213999999999999e-06,
+      5.3565999999999997e-06,
+      4.2795999999999996e-06,
+      4.6024000000000002e-06,
+      0.014267334,
+      2.2620709665143881e-09,
+      0.014264328200000001,
+      2.261594400050664e-09,
+  };
+  ASSERT_EQ(beyond.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(beyond[i], expected[i]) << "read " << i;
+  }
 }
 
 }  // namespace
