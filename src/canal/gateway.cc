@@ -460,7 +460,7 @@ telemetry::BackendSnapshot GatewayBackend::snapshot(sim::Duration window) {
 
 void GatewayBackend::start_sampling(sim::Duration period) {
   sampler_ = std::make_unique<sim::PeriodicTimer>(loop_, period, [this] {
-    util_history_.record(loop_.now(), cpu_utilization(sim::seconds(5)));
+    util_history_.record(loop_.now(), cpu_utilization(kWaterLevelWindow));
     std::size_t expired = 0;
     for (auto& replica : replicas_) {
       expired += replica->engine().sessions().expire_idle(
@@ -760,15 +760,26 @@ GatewayBackend* MeshGateway::resolve(net::ServiceId service,
   if (it == placements_.end()) return nullptr;
   GatewayBackend* local_best = nullptr;
   GatewayBackend* remote_best = nullptr;
+  // local_best's water level, read only once a second local candidate
+  // exists; each candidate is read at most once.
+  std::optional<double> best_level;
   for (const auto backend_id : it->second) {
     GatewayBackend* backend = find_backend(backend_id);
     if (backend == nullptr || !backend->alive()) continue;
     if (backend->az() == client_az) {
-      // Lowest water level among healthy local backends.
-      if (local_best == nullptr ||
-          backend->cpu_utilization(sim::seconds(5)) <
-              local_best->cpu_utilization(sim::seconds(5))) {
+      // Lowest water level among healthy local backends; ties go to the
+      // earlier backend in the placement.
+      if (local_best == nullptr) {
         local_best = backend;
+        continue;
+      }
+      if (!best_level) {
+        best_level = local_best->cpu_utilization(kWaterLevelWindow);
+      }
+      const double level = backend->cpu_utilization(kWaterLevelWindow);
+      if (level < *best_level) {
+        local_best = backend;
+        best_level = level;
       }
     } else if (remote_best == nullptr) {
       remote_best = backend;

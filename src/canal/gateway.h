@@ -39,6 +39,11 @@
 
 namespace canal::core {
 
+/// Trailing window of a backend's CPU water level: the signal DNS
+/// resolution ranks local backends by, the sampler records and precise
+/// scaling alerts and sizes on (§4.3).
+inline constexpr sim::Duration kWaterLevelWindow = sim::seconds(5);
+
 struct GatewayConfig {
   std::size_t replica_cores = 2;
   std::size_t replicas_per_backend = 2;

@@ -58,7 +58,8 @@ void PreciseScaler::sweep() {
   std::vector<GatewayBackend*> hot;
   for (GatewayBackend* backend : gateway_.all_backends()) {
     if (backend->is_sandbox() || !backend->alive()) continue;
-    if (backend->cpu_utilization(sim::seconds(5)) >= config_.alert_threshold) {
+    if (backend->cpu_utilization(kWaterLevelWindow) >=
+        config_.alert_threshold) {
       hot.push_back(backend);
     }
   }
@@ -97,7 +98,7 @@ void PreciseScaler::handle_alert(
     // Sustained plateau: trends have flattened, so correlation is
     // uninformative — fall back to the top service by RPS (§4.3's basic
     // sampling step).
-    const auto top = backend.snapshot(sim::seconds(5)).top_services(1);
+    const auto top = backend.snapshot(kWaterLevelWindow).top_services(1);
     if (!top.empty()) suspects.push_back(top.front().first);
   }
   for (const auto service : suspects) {
@@ -112,7 +113,7 @@ void PreciseScaler::scale_service(net::ServiceId service, GatewayBackend& hot,
 
   // Precise sizing: enough backends that the service's current load,
   // spread over the new placement, lands below the safety threshold.
-  const double util = hot.cpu_utilization(sim::seconds(5));
+  const double util = hot.cpu_utilization(kWaterLevelWindow);
   const auto placement = gateway_.placement_of(service);
   const auto current = std::max<std::size_t>(1, placement.size());
   const auto wanted = static_cast<std::size_t>(std::ceil(
@@ -135,7 +136,7 @@ void PreciseScaler::scale_service(net::ServiceId service, GatewayBackend& hot,
         candidate->hosts(service)) {
       continue;
     }
-    if (candidate->cpu_utilization(sim::seconds(5)) >
+    if (candidate->cpu_utilization(kWaterLevelWindow) >
         config_.reuse_max_utilization) {
       continue;
     }

@@ -191,6 +191,49 @@ TEST(Gateway, FailoverToSecondBackendInAz) {
   EXPECT_EQ(bed.run_one(bed.request()).status, 200);
 }
 
+TEST(Gateway, ResolvePicksLowestWaterLevel) {
+  GatewayTestbed bed;
+  auto placement = bed.gateway->placement_of(bed.backend_svc->id);
+  // The home AZ is the one holding two shuffle-sharded backends.
+  std::map<net::AzId, std::vector<GatewayBackend*>> by_az;
+  for (auto* backend : placement) by_az[backend->az()].push_back(backend);
+  net::AzId home{};
+  for (const auto& [az, backends] : by_az) {
+    if (backends.size() >= 2) home = az;
+  }
+  ASSERT_EQ(by_az[home].size(), 2u);
+  GatewayBackend* first = by_az[home][0];
+  GatewayBackend* second = by_az[home][1];
+  const auto load = [&bed](GatewayBackend* backend, sim::Duration cost) {
+    for (std::size_t i = 0; i < backend->replica_count(); ++i) {
+      sim::CpuSet& cpu = backend->replica(i)->cpu();
+      for (std::size_t j = 0; j < cpu.size(); ++j) cpu.core(j).execute(cost);
+    }
+  };
+  const auto resolve = [&] {
+    return bed.gateway->resolve(bed.backend_svc->id, home);
+  };
+  // Idle and equal: ties go to the earlier backend in the placement.
+  EXPECT_EQ(resolve(), first);
+  // Load the first backend: the second now has the lower water level.
+  load(first, sim::milliseconds(2));
+  bed.loop.run_until(bed.loop.now() + sim::milliseconds(4));
+  EXPECT_GT(first->cpu_utilization(kWaterLevelWindow),
+            second->cpu_utilization(kWaterLevelWindow));
+  EXPECT_EQ(resolve(), second);
+  // Load the second more than the first: back to the first.
+  load(second, sim::milliseconds(3));
+  bed.loop.run_until(bed.loop.now() + sim::milliseconds(4));
+  EXPECT_EQ(resolve(), first);
+  // Equal nonzero load: the tie again goes to the first.
+  load(first, sim::milliseconds(1));
+  bed.loop.run_until(bed.loop.now() + sim::milliseconds(4));
+  ASSERT_EQ(first->cpu_utilization(kWaterLevelWindow),
+            second->cpu_utilization(kWaterLevelWindow));
+  EXPECT_GT(first->cpu_utilization(kWaterLevelWindow), 0.0);
+  EXPECT_EQ(resolve(), first);
+}
+
 TEST(Gateway, CrossAzFailover) {
   GatewayTestbed bed;
   // Kill every local-AZ backend of the service.
