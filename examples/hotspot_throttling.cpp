@@ -21,8 +21,11 @@ int main() {
   core::MeshGateway gateway(loop, core::GatewayConfig{}, sim::Rng(71));
   gateway.add_az(4);
 
-  // The social platform: a small cluster with limited elasticity.
+  // The social platform: a small cluster with limited elasticity. The
+  // status table below reads its node CPUs over 5 s, so it declares that
+  // history itself rather than relying on the guard's.
   k8s::Cluster cluster(loop, static_cast<net::TenantId>(5), sim::Rng(73));
+  cluster.track_node_utilization(sim::seconds(5));
   k8s::Node& node = cluster.add_node(static_cast<net::AzId>(0), 4);
   k8s::Service& feed = cluster.add_service("feed");
   k8s::AppProfile app;

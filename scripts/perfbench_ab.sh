@@ -4,15 +4,19 @@
 #
 # Usage: scripts/perfbench_ab.sh BASE_REF WORKLOAD [PAIRS=5] [SECONDS=8]
 #
-# Checks BASE_REF out with `git worktree add` into a temporary directory
-# (no network needed), then runs
+# Exports BASE_REF with `git archive` into a temporary directory (no
+# network needed, and the checkout's .git is left alone), then runs
 #   python3 perfbench/run.py --workload WORKLOAD --seed 1 \
 #     --seconds SECONDS --trace 0
-# PAIRS times from each root, interleaved base then change (ABAB...), so a
-# slow phase of the host lands on both sides alike. Each root builds its
-# own perfbench into its .bench_build/ on its first run. Prints every
-# end-to-end metric's per-pair values, the median of each side and the
-# median of the per-pair change/base ratios.
+# PAIRS times from each root, alternating which side runs first (base then
+# change in odd pairs, change then base in even ones), so neither side
+# always runs on a cooler or warmer host. Each root builds its own perfbench
+# into its .bench_build/ on its first run. Prints every end-to-end metric's
+# per-pair values, the median and quartiles of each side and the median of
+# the per-pair change/base ratios. For metrics BENCHMARK.json gives a
+# direction, it also prints in how many pairs the change was better (ties
+# count for neither side) and whether the median gap exceeds the base's own
+# interquartile spread: the evidence a claimed gain needs.
 #
 # Exit status: 0 when every run reports "correct": true with failed == 0,
 # 1 when any run does not (or prints no result line), 2 on bad arguments.
@@ -35,15 +39,9 @@ fi
 change_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 scratch="$(mktemp -d)"
 base_root="${scratch}/base"
-cleanup() {
-  git -C "${change_root}" worktree remove --force "${base_root}" \
-    > /dev/null 2>&1 || true
-  git -C "${change_root}" worktree prune > /dev/null 2>&1 || true
-  rm -rf "${scratch}"
-}
-trap cleanup EXIT
-git -C "${change_root}" worktree add --detach --quiet "${base_root}" \
-  "${base_ref}"
+trap 'rm -rf "${scratch}"' EXIT
+mkdir "${base_root}"
+git -C "${change_root}" archive "${base_ref}" | tar -x -C "${base_root}"
 
 # Runs one repeat from root $1 and stores its result line as $2.
 run_one() {
@@ -54,18 +52,36 @@ run_one() {
 }
 
 for ((i = 1; i <= pairs; ++i)); do
-  echo "pair ${i}/${pairs}: base" >&2
-  run_one "${base_root}" "${scratch}/base-${i}.json"
-  echo "pair ${i}/${pairs}: change" >&2
-  run_one "${change_root}" "${scratch}/change-${i}.json"
+  sides=(base change)
+  if ((i % 2 == 0)); then sides=(change base); fi
+  for side in "${sides[@]}"; do
+    echo "pair ${i}/${pairs}: ${side}" >&2
+    root="${base_root}"
+    if [[ "${side}" == change ]]; then root="${change_root}"; fi
+    run_one "${root}" "${scratch}/${side}-${i}.json"
+  done
 done
 
-python3 - "${scratch}" "${pairs}" "${workload}" "${base_ref}" <<'EOF'
+python3 - "${scratch}" "${pairs}" "${workload}" "${base_ref}" \
+  "${change_root}/BENCHMARK.json" <<'EOF'
 import json
 import statistics
 import sys
 
-scratch, pairs, workload, base_ref = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
+scratch, pairs, workload, base_ref, spec_path = (
+    sys.argv[1], int(sys.argv[2]), *sys.argv[3:])
+with open(spec_path) as f:
+    spec = json.load(f)
+better = {m["name"]: m["better"]
+          for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
 ok = True
 runs = {"base": [], "change": []}
 for side in runs:
@@ -84,7 +100,7 @@ for side in runs:
             ok = False
         runs[side].append(result["metrics"])
 
-print("workload %s, base %s, %d pairs (base then change)"
+print("workload %s, base %s, %d pairs (alternating which side runs first)"
       % (workload, base_ref, pairs))
 names = [n for n in runs["base"][0]
          if all(n in m for side in runs.values() for m in side)]
@@ -95,8 +111,20 @@ for name in names:
     print("%s (%s)" % (name, runs["base"][0][name]["unit"]))
     for i, (b, c, r) in enumerate(zip(base, change, ratios), 1):
         print("  pair %d: base %-12.6g change %-12.6g ratio %.4f" % (i, b, c, r))
+    base_median, change_median = statistics.median(base), statistics.median(change)
     print("  median: base %-12.6g change %-12.6g ratio %.4f"
-          % (statistics.median(base), statistics.median(change),
-             statistics.median(ratios)))
+          % (base_median, change_median, statistics.median(ratios)))
+    base_q1, base_q3 = quartiles(base)
+    change_q1, change_q3 = quartiles(change)
+    print("  quartiles: base %.6g..%.6g change %.6g..%.6g"
+          % (base_q1, base_q3, change_q1, change_q3))
+    if name in better:
+        sign = 1 if better[name] == "higher" else -1
+        wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
+        ties = sum(1 for b, c in zip(base, change) if c == b)
+        print("  change better in %d of %d pairs (%d tied, %s is better);"
+              " median gap %.6g vs base spread (Q3-Q1) %.6g"
+              % (wins, pairs, ties, better[name],
+                 abs(change_median - base_median), base_q3 - base_q1))
 sys.exit(0 if ok else 1)
 EOF

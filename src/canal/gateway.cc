@@ -13,10 +13,12 @@ proxy::ProxyCostModel GatewayConfig::default_replica_costs() {
   return costs;
 }
 
+// Replica cores are read by the water level, the precise scaler, the
+// pattern monitor and util_history_: they keep 5 minutes of busy history.
 GatewayReplica::GatewayReplica(sim::EventLoop& loop, net::ReplicaId id,
                                net::Ipv4Addr ip, const GatewayConfig& config,
                                sim::Rng rng)
-    : id_(id), ip_(ip), cpu_(loop, config.replica_cores) {
+    : id_(id), ip_(ip), cpu_(loop, config.replica_cores, 5 * sim::kMinute) {
   proxy::ProxyEngine::Config engine_config;
   engine_config.name = "gw-replica-" + std::to_string(net::id_value(id));
   engine_config.l7 = true;

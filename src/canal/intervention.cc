@@ -163,7 +163,9 @@ void AnomalyResponder::respond(GatewayBackend& backend,
 
 TenantGuard::TenantGuard(sim::EventLoop& loop, MeshGateway& gateway,
                          k8s::Cluster& cluster, Config config)
-    : loop_(loop), gateway_(gateway), cluster_(cluster), config_(config) {}
+    : loop_(loop), gateway_(gateway), cluster_(cluster), config_(config) {
+  cluster_.track_node_utilization(kClusterWindow);
+}
 
 TenantGuard::~TenantGuard() = default;
 
@@ -182,7 +184,7 @@ double TenantGuard::cluster_utilization() const {
   if (nodes.empty()) return 0.0;
   double sum = 0.0;
   for (const auto& node : nodes) {
-    sum += node->cpu().utilization(sim::seconds(5));
+    sum += node->cpu().utilization(kClusterWindow);
   }
   return sum / static_cast<double>(nodes.size());
 }

@@ -116,8 +116,16 @@ class AnomalyResponder {
 /// Tenant-level guard (§4.2): when the tenant's own K8s cluster approaches
 /// saturation, throttle its services at the gateway and pause mesh-side
 /// auto-scaling; lift the throttle once the cluster recovers.
+///
+/// The guard reads node CPU utilization over kClusterWindow, so its
+/// constructor makes the cluster track that much node history, on nodes
+/// added later too. Node CPU work done before the guard attaches is not
+/// visible to it; work still queued at that moment is.
 class TenantGuard {
  public:
+  /// Trailing window of node CPU utilization the guard averages.
+  static constexpr sim::Duration kClusterWindow = sim::seconds(5);
+
   struct Config {
     double cluster_alert_utilization = 0.9;
     double cluster_recovered_utilization = 0.6;

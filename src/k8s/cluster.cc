@@ -16,7 +16,13 @@ Node& Cluster::add_node(net::AzId az, std::size_t cores) {
                          static_cast<std::uint8_t>(next_node_ & 0xFF));
   nodes_.push_back(std::make_unique<Node>(
       loop_, static_cast<net::NodeId>(next_node_++), az, cores, ip));
+  nodes_.back()->cpu().track_utilization(node_history_);
   return *nodes_.back();
+}
+
+void Cluster::track_node_utilization(sim::Duration window) {
+  node_history_ = std::max(node_history_, window);
+  for (const auto& node : nodes_) node->cpu().track_utilization(window);
 }
 
 Service& Cluster::add_service(std::string name, bool wants_l7) {

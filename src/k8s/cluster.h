@@ -11,6 +11,7 @@
 #include "net/ids.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
+#include "sim/time.h"
 
 namespace canal::k8s {
 
@@ -54,6 +55,11 @@ class Cluster {
   /// Pods hosted on `node`.
   [[nodiscard]] std::vector<Pod*> pods_on(const Node& node);
 
+  /// Keeps `window` of busy history on every node's CPUs, current and
+  /// added later, so their utilization can be read (sim::CpuCore). Node
+  /// CPUs keep none until a reader asks; history only ever grows.
+  void track_node_utilization(sim::Duration window);
+
  private:
   sim::EventLoop& loop_;
   net::TenantId tenant_;
@@ -61,6 +67,7 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Pod>> pods_;
   std::vector<std::unique_ptr<Service>> services_;
+  sim::Duration node_history_ = 0;
   std::uint32_t next_node_ = 1;
   std::uint64_t next_pod_ = 1;
   std::uint64_t next_service_ = 1;

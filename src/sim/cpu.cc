@@ -1,6 +1,7 @@
 #include "sim/cpu.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace canal::sim {
 
@@ -13,7 +14,7 @@ TimePoint CpuCore::execute(Duration cost, Callback done,
   free_at_ = end;
   total_busy_ += cost;
   ++jobs_;
-  if (cost > 0) {
+  if (cost > 0 && history_ > 0) {
     if (!intervals_.empty() && intervals_.back().end == start) {
       intervals_.back().end = end;  // coalesce back-to-back work
       cum_.back() += cost;
@@ -25,6 +26,23 @@ TimePoint CpuCore::execute(Duration cost, Callback done,
   }
   if (done) loop_.post_at(end, std::move(done));
   return end;
+}
+
+void CpuCore::track_utilization(Duration window) {
+  if (window <= history_) return;
+  if (history_ <= 0) {
+    // History starts now. Busy time through now counts as already pruned;
+    // work still queued keeps the core busy without a gap from now to
+    // free_at_ (FCFS), so it is one retained interval.
+    const TimePoint now = loop_.now();
+    dropped_cum_ = total_busy_;
+    if (free_at_ > now) {
+      dropped_cum_ -= free_at_ - now;
+      intervals_.push_back({now, free_at_});
+      cum_.push_back(total_busy_);
+    }
+  }
+  history_ = window;
 }
 
 void CpuCore::prune(TimePoint horizon) {
@@ -44,6 +62,11 @@ void CpuCore::prune(TimePoint horizon) {
 }
 
 double CpuCore::utilization(Duration window) const {
+  if (history_ <= 0) {
+    throw std::logic_error(
+        "CpuCore::utilization on a core that keeps no busy history; the "
+        "reader must call track_utilization first");
+  }
   if (window <= 0 || intervals_.empty()) return 0.0;
   // busy = B(hi) - B(lo), where B(t) is the retained busy time through t
   // on top of dropped_cum_. Every interval starts at or before the `now`
@@ -111,10 +134,8 @@ double CpuSet::utilization(Duration window) const {
   return sum / static_cast<double>(cores_.size());
 }
 
-double CpuSet::max_core_utilization(Duration window) const {
-  double best = 0.0;
-  for (const auto& c : cores_) best = std::max(best, c->utilization(window));
-  return best;
+void CpuSet::track_utilization(Duration window) {
+  for (auto& c : cores_) c->track_utilization(window);
 }
 
 double CpuSet::total_busy_core_seconds() const {

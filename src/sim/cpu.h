@@ -2,9 +2,12 @@
 //
 // A core accepts work items with a service cost; completion time is
 // max(now, core-free-time) + cost, so queueing delay and saturation emerge
-// naturally. Busy intervals are retained (bounded) so callers can ask for
-// utilization over arbitrary trailing windows — the signal Canal's anomaly
-// detection and precise scaling operate on.
+// naturally. A core keeps busy history only once a reader asks for it with
+// `track_utilization`: then busy intervals are retained (bounded) so the
+// reader can ask for utilization over trailing windows — the signal Canal's
+// water level, precise scaling and tenant guard operate on. An untracked
+// core records nothing beyond its running totals, and reading its
+// utilization throws.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +26,9 @@ namespace canal::sim {
 /// A single simulated CPU core with an unbounded FCFS run queue.
 class CpuCore {
  public:
-  /// `history` bounds how far back utilization queries may reach.
-  explicit CpuCore(EventLoop& loop, Duration history = 5 * kMinute)
+  /// `history` bounds how far back utilization queries may reach; 0 keeps
+  /// no history, so `execute` updates only the running totals.
+  explicit CpuCore(EventLoop& loop, Duration history = 0)
       : loop_(loop), history_(history) {}
 
   CpuCore(const CpuCore&) = delete;
@@ -52,7 +56,15 @@ class CpuCore {
     return free_at_ > loop_.now() ? free_at_ - loop_.now() : 0;
   }
 
-  /// Fraction of [t - window, t] the core was (or is committed to be) busy.
+  /// Starts (or extends) busy history so utilization reads may reach back
+  /// `window`. History only ever grows. Busy time the core had finished
+  /// before tracking began is not visible to reads; work still queued at
+  /// that moment is.
+  void track_utilization(Duration window);
+
+  /// Fraction of [t - window, t] the core was (or is committed to be) busy,
+  /// counting only work since tracking began. Throws std::logic_error on a
+  /// core that keeps no history.
   [[nodiscard]] double utilization(Duration window) const;
 
   /// Total busy time ever committed to this core.
@@ -61,8 +73,9 @@ class CpuCore {
   /// Jobs accepted so far.
   [[nodiscard]] std::uint64_t jobs() const noexcept { return jobs_; }
 
-  /// Busy intervals currently retained for utilization queries. Bounded by
-  /// both the `history` window and kMaxIntervals.
+  /// Busy intervals currently retained for utilization queries: none on an
+  /// untracked core, else bounded by both the `history` window and
+  /// kMaxIntervals.
   [[nodiscard]] std::size_t interval_count() const noexcept {
     return intervals_.size();
   }
@@ -105,7 +118,7 @@ class CpuCore {
 /// or pinned by hash for flow/core affinity.
 class CpuSet {
  public:
-  CpuSet(EventLoop& loop, std::size_t cores, Duration history = 5 * kMinute);
+  CpuSet(EventLoop& loop, std::size_t cores, Duration history = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return cores_.size(); }
 
@@ -125,11 +138,12 @@ class CpuSet {
   /// Index of the core that would next become free.
   [[nodiscard]] std::size_t least_loaded() const;
 
-  /// Mean utilization across cores over the trailing window.
-  [[nodiscard]] double utilization(Duration window) const;
+  /// CpuCore::track_utilization on every core.
+  void track_utilization(Duration window);
 
-  /// Peak single-core utilization over the trailing window.
-  [[nodiscard]] double max_core_utilization(Duration window) const;
+  /// Mean utilization across cores over the trailing window. Throws
+  /// std::logic_error unless the cores track utilization.
+  [[nodiscard]] double utilization(Duration window) const;
 
   /// Sum of busy time across cores, expressed in core-seconds.
   [[nodiscard]] double total_busy_core_seconds() const;

@@ -2,6 +2,8 @@
 // controller push/southbound accounting, health probing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "k8s/cluster.h"
 #include "k8s/controller.h"
 #include "k8s/health.h"
@@ -75,6 +77,29 @@ TEST(Cluster, UniquePodIps) {
     ips.insert(cluster.add_pod(service, AppProfile{}).ip());
   }
   EXPECT_EQ(ips.size(), 50u);
+}
+
+TEST(Cluster, NodeUtilizationIsReadableOnlyOnceTracked) {
+  sim::EventLoop loop;
+  Cluster cluster = make_cluster(loop, 1);
+  Node& before = *cluster.nodes().front();
+  before.cpu().core(0).execute(sim::milliseconds(100));
+  EXPECT_THROW((void)before.cpu().utilization(sim::seconds(1)),
+               std::logic_error);
+  EXPECT_EQ(before.cpu().core(0).interval_count(), 0u);
+
+  cluster.track_node_utilization(sim::seconds(5));
+  // A node added later gets the same history, with no second declaration.
+  Node& after = cluster.add_node(static_cast<net::AzId>(0), 2);
+  after.cpu().core(0).execute(sim::milliseconds(500));
+  after.cpu().core(1).execute(sim::milliseconds(250));
+  before.cpu().core(1).execute(sim::milliseconds(400));
+  loop.run_until(sim::seconds(1));
+  EXPECT_EQ(after.cpu().utilization(sim::seconds(1)), (0.5 + 0.25) / 2);
+  // The existing node counts work since tracking began; the 100 ms of
+  // core 0, still queued when tracking began, is counted too.
+  EXPECT_EQ(before.cpu().core(0).utilization(sim::seconds(1)), 0.1);
+  EXPECT_EQ(before.cpu().core(1).utilization(sim::seconds(1)), 0.4);
 }
 
 TEST(Pod, ServesRequestWithServiceTime) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -235,7 +236,7 @@ TEST(CpuCore, CallbackFiresAtCompletion) {
 
 TEST(CpuCore, UtilizationOverWindow) {
   EventLoop loop;
-  CpuCore core(loop);
+  CpuCore core(loop, /*history=*/5 * kMinute);
   core.execute(milliseconds(50));  // busy [0, 50ms)
   loop.run_until(milliseconds(100));
   EXPECT_NEAR(core.utilization(milliseconds(100)), 0.5, 0.01);
@@ -270,11 +271,45 @@ TEST(CpuSet, PinnedDispatchIsStable) {
 
 TEST(CpuSet, UtilizationAveragesCores) {
   EventLoop loop;
-  CpuSet set(loop, 2);
+  CpuSet set(loop, 2, /*history=*/5 * kMinute);
   set.core(0).execute(milliseconds(100));
   loop.run_until(milliseconds(100));
   EXPECT_NEAR(set.utilization(milliseconds(100)), 0.5, 0.01);
-  EXPECT_NEAR(set.max_core_utilization(milliseconds(100)), 1.0, 0.01);
+}
+
+TEST(CpuCore, UntrackedCoreKeepsNoHistoryAndRefusesReads) {
+  EventLoop loop;
+  CpuCore core(loop);
+  core.execute(milliseconds(1));
+  loop.run_until(milliseconds(2));
+  core.execute(milliseconds(1));
+  EXPECT_EQ(core.interval_count(), 0u);
+  EXPECT_EQ(core.total_busy(), milliseconds(2));
+  EXPECT_EQ(core.jobs(), 2u);
+  EXPECT_THROW((void)core.utilization(milliseconds(10)), std::logic_error);
+
+  CpuSet set(loop, 2);
+  set.execute(milliseconds(1));
+  EXPECT_THROW((void)set.utilization(milliseconds(10)), std::logic_error);
+  set.track_utilization(milliseconds(10));
+  EXPECT_EQ(set.utilization(milliseconds(10)), 0.0);
+}
+
+TEST(CpuCore, TrackUtilizationNeverShrinksHistory) {
+  EventLoop loop;
+  CpuCore core(loop);
+  core.track_utilization(milliseconds(10));
+  core.track_utilization(milliseconds(1));  // smaller: keeps 10 ms
+  for (int i = 0; i <= 8; ++i) {  // 100 us of work at the top of each ms
+    loop.run_until(milliseconds(i));
+    core.execute(microseconds(100));
+  }
+  loop.run_until(milliseconds(9));
+  EXPECT_EQ(core.interval_count(), 9u);
+  const Duration window = microseconds(8500);  // from 0.5 ms: 8 jobs
+  EXPECT_EQ(core.utilization(window),
+            static_cast<double>(microseconds(800)) /
+                static_cast<double>(window));
 }
 
 TEST(Histogram, PercentilesExact) {
@@ -636,6 +671,51 @@ TEST(CpuCore, UtilizationMatchesReference) {
   ASSERT_EQ(beyond.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(beyond[i], expected[i]) << "read " << i;
+  }
+}
+
+TEST(CpuCore, TrackedReadsCountWorkSinceTrackingBegan) {
+  // An untracked core runs a random job stream, then starts tracking with
+  // work still queued. Every later read equals a linear overlap sum over
+  // the part of the window since tracking began: earlier work is not
+  // visible, queued work is.
+  EventLoop loop;
+  CpuCore core(loop);
+  Rng rng(61);
+  const Duration mean_cost = microseconds(3);
+  std::vector<std::pair<TimePoint, TimePoint>> log;
+  TimePoint tracked_at = 0;
+  for (int i = 0; i < 3000; ++i) {
+    if (i == 1000) {
+      ASSERT_EQ(core.interval_count(), 0u);
+      core.execute(mean_cost);  // queue work across the tracking instant
+      log.emplace_back(core.free_at() - mean_cost, core.free_at());
+      ASSERT_GT(core.backlog(), 0);
+      core.track_utilization(seconds(1));  // longer than the whole run
+      tracked_at = loop.now();
+    }
+    const TimePoint idle_at = std::max(loop.now(), core.free_at());
+    if (rng.uniform() < 0.4) {
+      loop.run_until(idle_at + rng.uniform_int(1, 3 * mean_cost));
+    } else if (rng.uniform() < 0.5) {
+      loop.run_until(idle_at);  // back-to-back
+    } else {
+      loop.run_until(loop.now() + rng.uniform_int(0, core.backlog()));
+    }
+    const Duration cost = rng.uniform_int(1, 2 * mean_cost);
+    const TimePoint end = core.execute(cost);
+    log.emplace_back(end - cost, end);
+    if (i < 1000) continue;
+    const TimePoint now = loop.now();
+    for (const Duration window :
+         {rng.uniform_int(1, 3 * mean_cost), rng.uniform_int(1, now + 1),
+          now - tracked_at + 1}) {
+      const TimePoint lo = std::max(now - window, tracked_at);
+      EXPECT_EQ(core.utilization(window),
+                static_cast<double>(overlap(log, lo, now)) /
+                    static_cast<double>(window))
+          << "window " << window << " at job " << i;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -138,6 +139,60 @@ TEST(Topology, NoMeshLossFollowsTheSeed) {
   EXPECT_GT(seed1, 0u);
   EXPECT_EQ(nomesh_drops(1), seed1);
   EXPECT_NE(nomesh_drops(2), seed1);
+}
+
+// Busy history is kept only where something reads it. After traffic
+// through a canal world, node and on-node-proxy cores have run jobs but
+// recorded no busy intervals, while every gateway replica core that ran
+// work keeps the history the water level reads.
+TEST(Topology, CanalKeepsBusyHistoryOnlyOnGatewayReplicas) {
+  Topology topology(mixed_spec());
+  CanalMesh& canal = topology.build_canal();
+  std::uint64_t ok = 0;
+  for (int i = 0; i < 100; ++i) {
+    topology.loop.post_at(i * sim::milliseconds(1), [&] {
+      mesh::RequestOptions opts;
+      opts.client = topology.services.front()->endpoints.front();
+      opts.dst_service = topology.services.back()->id;
+      canal.send_request(opts, [&ok](mesh::RequestResult r) { ok += r.ok(); });
+    });
+  }
+  topology.loop.run_until(sim::seconds(1));
+  ASSERT_EQ(ok, 100u);
+
+  // Returns the jobs `cpu` ran and checks it recorded no busy intervals.
+  const auto untracked_jobs = [](const sim::CpuSet& cpu) {
+    std::uint64_t jobs = 0;
+    for (std::size_t c = 0; c < cpu.size(); ++c) {
+      jobs += cpu.core(c).jobs();
+      EXPECT_EQ(cpu.core(c).interval_count(), 0u);
+    }
+    EXPECT_THROW((void)cpu.utilization(sim::seconds(5)), std::logic_error);
+    return jobs;
+  };
+  std::uint64_t node_jobs = 0;
+  std::uint64_t proxy_jobs = 0;
+  for (const auto& node : topology.cluster.nodes()) {
+    node_jobs += untracked_jobs(node->cpu());
+    if (OnNodeProxy* proxy = canal.proxy_for(*node)) {
+      proxy_jobs += untracked_jobs(proxy->cpu());
+    }
+  }
+  EXPECT_GT(node_jobs, 0u);
+  EXPECT_GT(proxy_jobs, 0u);
+
+  std::size_t replica_cores_used = 0;
+  for (GatewayBackend* backend : topology.gateway->all_backends()) {
+    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+      const sim::CpuSet& cpu = backend->replica(r)->cpu();
+      for (std::size_t c = 0; c < cpu.size(); ++c) {
+        if (cpu.core(c).jobs() == 0) continue;
+        ++replica_cores_used;
+        EXPECT_GT(cpu.core(c).interval_count(), 0u);
+      }
+    }
+  }
+  EXPECT_GT(replica_cores_used, 0u);
 }
 
 }  // namespace
