@@ -463,7 +463,7 @@ inline CryptoRun run_https_load(const runner::RunSpec& spec, OffloadMode mode,
       static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
   const auto count = static_cast<std::uint64_t>(rps * seconds);
   for (std::uint64_t i = 0; i < count; ++i) {
-    loop.schedule_at(static_cast<sim::Duration>(i) * spacing, [&] {
+    loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
       const sim::TimePoint start = loop.now();
       const bool resumed =
           resumption_fraction > 0.0 &&
@@ -568,7 +568,7 @@ inline runner::RunResult asym_crypto_time(const runner::RunSpec& spec) {
     const auto spacing =
         static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
     for (int i = 0; i < 400; ++i) {
-      loop.schedule_at(static_cast<sim::Duration>(i) * spacing, [&] {
+      loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
         const sim::TimePoint start = loop.now();
         auto record = [&, start] {
           latency.record(sim::to_microseconds(loop.now() - start));
@@ -670,7 +670,7 @@ inline runner::RunResult nagle_ctx_switch(const runner::RunSpec&) {
                              });
     const auto writes = static_cast<std::uint64_t>(kWriteRps);
     for (std::uint64_t i = 0; i < writes; ++i) {
-      loop.schedule_at(
+      loop.post_at(
           static_cast<sim::Duration>(i) *
               static_cast<sim::Duration>(sim::kSecond / kWriteRps),
           [&] {
@@ -1610,7 +1610,7 @@ inline runner::RunResult proxyless_modes(const runner::RunSpec& spec) {
   const double cpu_before = plane->user_cpu_core_seconds();
   int n = 0;
   for (int i = 0; i < 200; ++i) {
-    bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
+    bed.loop.post_at(i * sim::milliseconds(10), [&] {
       plane->send_request(request(bed, true), [&](mesh::RequestResult r) {
         if (r.ok()) {
           latency.record(sim::to_microseconds(r.latency));
@@ -1650,7 +1650,7 @@ inline runner::RunResult keyless_handshake(const runner::RunSpec& spec) {
                                bed.key_server.get());
   sim::Histogram latency;
   for (int i = 0; i < 100; ++i) {
-    bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
+    bed.loop.post_at(i * sim::milliseconds(10), [&] {
       bed.canal->send_request(request(bed, true), [&](mesh::RequestResult r) {
         if (r.ok()) latency.record(sim::to_microseconds(r.latency));
       });

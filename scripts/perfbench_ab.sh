@@ -2,11 +2,11 @@
 # Same-machine A/B of the perfbench benchmark: a base commit against the
 # working tree this script belongs to.
 #
-# Usage: scripts/perfbench_ab.sh BASE_REF WORKLOAD [PAIRS=5] [SECONDS=8]
+# Usage: scripts/perfbench_ab.sh BASE_REF WORKLOAD [PAIRS=5] [SECONDS=8] [SEED=1]
 #
 # Exports BASE_REF with `git archive` into a temporary directory (no
 # network needed, and the checkout's .git is left alone), then runs
-#   python3 perfbench/run.py --workload WORKLOAD --seed 1 \
+#   python3 perfbench/run.py --workload WORKLOAD --seed SEED \
 #     --seconds SECONDS --trace 0
 # PAIRS times from each root, alternating which side runs first (base then
 # change in odd pairs, change then base in even ones), so neither side
@@ -16,23 +16,27 @@
 # the per-pair change/base ratios. For metrics BENCHMARK.json gives a
 # direction, it also prints in how many pairs the change was better (ties
 # count for neither side) and whether the median gap exceeds the base's own
-# interquartile spread: the evidence a claimed gain needs.
+# interquartile spread: the evidence a claimed gain needs. A SEED other than
+# 1 repeats the comparison on a held-out workload seed.
 #
 # Exit status: 0 when every run reports "correct": true with failed == 0,
 # 1 when any run does not (or prints no result line), 2 on bad arguments.
 # It is a measuring tool, not a gate: no ratio fails it.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-  echo "usage: $0 BASE_REF WORKLOAD [PAIRS=5] [SECONDS=8]" >&2
+if [[ $# -lt 2 || $# -gt 5 ]]; then
+  echo "usage: $0 BASE_REF WORKLOAD [PAIRS=5] [SECONDS=8] [SEED=1]" >&2
   exit 2
 fi
 base_ref="$1"
 workload="$2"
 pairs="${3:-5}"
 seconds="${4:-8}"
-if ! [[ "${pairs}" =~ ^[1-9][0-9]*$ && "${seconds}" =~ ^[1-9][0-9]*$ ]]; then
-  echo "PAIRS and SECONDS must be positive integers" >&2
+seed="${5:-1}"
+if ! [[ "${pairs}" =~ ^[1-9][0-9]*$ && "${seconds}" =~ ^[1-9][0-9]*$ &&
+        "${seed}" =~ ^[0-9]+$ ]]; then
+  echo "PAIRS and SECONDS must be positive integers, SEED a non-negative" \
+    "integer" >&2
   exit 2
 fi
 
@@ -47,7 +51,7 @@ git -C "${change_root}" archive "${base_ref}" | tar -x -C "${base_root}"
 run_one() {
   local root="$1" out="$2"
   (cd "${root}" && python3 perfbench/run.py --workload "${workload}" \
-    --seed 1 --seconds "${seconds}" --trace 0 2> /dev/null || true) \
+    --seed "${seed}" --seconds "${seconds}" --trace 0 2> /dev/null || true) \
     | tail -n 1 > "${out}"
 }
 
@@ -62,13 +66,13 @@ for ((i = 1; i <= pairs; ++i)); do
   done
 done
 
-python3 - "${scratch}" "${pairs}" "${workload}" "${base_ref}" \
+python3 - "${scratch}" "${pairs}" "${workload}" "${base_ref}" "${seed}" \
   "${change_root}/BENCHMARK.json" <<'EOF'
 import json
 import statistics
 import sys
 
-scratch, pairs, workload, base_ref, spec_path = (
+scratch, pairs, workload, base_ref, seed, spec_path = (
     sys.argv[1], int(sys.argv[2]), *sys.argv[3:])
 with open(spec_path) as f:
     spec = json.load(f)
@@ -100,8 +104,8 @@ for side in runs:
             ok = False
         runs[side].append(result["metrics"])
 
-print("workload %s, base %s, %d pairs (alternating which side runs first)"
-      % (workload, base_ref, pairs))
+print("workload %s, seed %s, base %s, %d pairs (alternating which side runs"
+      " first)" % (workload, seed, base_ref, pairs))
 names = [n for n in runs["base"][0]
          if all(n in m for side in runs.values() for m in side)]
 for name in names:

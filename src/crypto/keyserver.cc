@@ -63,13 +63,13 @@ void KeyServer::handle_sign(const std::string& requester_id,
                             std::string transcript, SignCallback done) {
   if (!available_ || !has_channel(requester_id)) {
     ++rejected_;
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [done = std::move(done)] { done(std::nullopt); });
     return;
   }
   const auto key = decrypt_key(identity);
   if (!key) {
     ++rejected_;
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [done = std::move(done)] { done(std::nullopt); });
     return;
   }
   // Request admission/unmarshalling cost, then the batched asymmetric op.
@@ -92,12 +92,12 @@ void KeyServerClient::sign(const std::string& identity, std::string transcript,
     ++remote_;
     const sim::Duration one_way = config_.model.key_server_one_way;
     // Request transit -> server handling -> response transit.
-    loop_.schedule(one_way, [this, identity, transcript = std::move(transcript),
-                             done = std::move(done), one_way]() mutable {
+    loop_.post(one_way, [this, identity, transcript = std::move(transcript),
+                         done = std::move(done), one_way]() mutable {
       server_->handle_sign(
           config_.requester_id, identity, std::move(transcript),
           [this, done = std::move(done), one_way](std::optional<Signature> sig) {
-            loop_.schedule(one_way, [done = std::move(done), sig] { done(sig); });
+            loop_.post(one_way, [done = std::move(done), sig] { done(sig); });
           });
     });
     return;
@@ -108,7 +108,7 @@ void KeyServerClient::sign(const std::string& identity, std::string transcript,
 void KeyServerClient::local_fallback(std::string transcript,
                                      KeyServer::SignCallback done) {
   if (!config_.local_private_key) {
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [done = std::move(done)] { done(std::nullopt); });
     return;
   }
   ++fallback_;

@@ -5,28 +5,45 @@
 
 namespace canal::k8s {
 
-void SouthboundChannel::transfer(std::uint64_t bytes,
-                                 std::function<void()> done) {
+void SouthboundChannel::transfer(std::uint64_t bytes, sim::Callback done) {
   const sim::Duration serialization = static_cast<sim::Duration>(
       static_cast<double>(bytes) * 8.0 / static_cast<double>(bandwidth_bps_) *
       static_cast<double>(sim::kSecond));
   const sim::TimePoint start = std::max(busy_until_, loop_.now());
   busy_until_ = start + serialization;
   total_bytes_ += bytes;
-  sent_bytes_.record(busy_until_, static_cast<double>(bytes));
-  const double window_bps =
-      occupancy_bps(busy_until_, sim::kSecond);
-  peak_bps_ = std::max(peak_bps_, window_bps);
-  loop_.schedule_at(busy_until_ + latency_, [done = std::move(done)] {
-    if (done) done();
-  });
+  window_.push_back(Sent{busy_until_, bytes});
+  window_bytes_ += bytes;
+  while (window_.front().last_byte < busy_until_ - sim::kSecond) {
+    window_bytes_ -= window_.front().bytes;
+    window_.pop_front();
+  }
+  peak_bps_ = std::max(peak_bps_, static_cast<double>(window_bytes_) * 8.0 /
+                                      sim::to_seconds(sim::kSecond));
+  if (!done) done = [] {};
+  loop_.post_at(busy_until_ + latency_, std::move(done));
 }
 
-double SouthboundChannel::occupancy_bps(sim::TimePoint now,
-                                        sim::Duration window) const {
-  if (window <= 0) return 0.0;
-  const double bytes = sent_bytes_.sum_in(now - window, now);
-  return bytes * 8.0 / sim::to_seconds(window);
+struct Controller::Round {
+  std::vector<ConfigTarget> targets;
+  TargetDelivered on_delivered;
+  std::function<void(PushReport)> done;
+  sim::TimePoint started = 0;
+  sim::Duration build_time = 0;
+  std::uint64_t total_bytes = 0;
+  std::size_t remaining = 0;
+};
+
+void Controller::finish(const Round& round) {
+  ++updates_completed_;
+  if (round.done) {
+    PushReport report;
+    report.build_time = round.build_time;
+    report.total_time = loop_.now() - round.started;
+    report.bytes_pushed = round.total_bytes;
+    report.targets = round.targets.size();
+    round.done(report);
+  }
 }
 
 void Controller::push_update(std::vector<ConfigTarget> targets,
@@ -44,41 +61,24 @@ void Controller::push_update(std::vector<ConfigTarget> targets,
     build_done = std::max(build_done, cpu_.execute(build_cost));
     total_bytes += target.config_bytes;
   }
-  const sim::Duration build_time = build_done - started;
 
+  auto round = std::make_shared<Round>();
+  round->targets = std::move(targets);
+  round->on_delivered = std::move(on_delivered);
+  round->done = std::move(done);
+  round->started = started;
+  round->build_time = build_done - started;
+  round->total_bytes = total_bytes;
+  round->remaining = round->targets.size();
   // Push phase: I/O-bound over the shared southbound channel, started once
   // the build completes. Completion = last target delivered.
-  auto remaining = std::make_shared<std::size_t>(targets.size());
-  auto finish = [this, started, build_time, total_bytes,
-                 n_targets = targets.size(),
-                 done = std::move(done)]() {
-    ++updates_completed_;
-    if (done) {
-      PushReport report;
-      report.build_time = build_time;
-      report.total_time = loop_.now() - started;
-      report.bytes_pushed = total_bytes;
-      report.targets = n_targets;
-      done(report);
-    }
-  };
-  if (targets.empty()) {
-    loop_.schedule_at(build_done, finish);
-    return;
-  }
-  loop_.schedule_at(build_done, [this, targets = std::move(targets), remaining,
-                                 finish = std::move(finish),
-                                 on_delivered =
-                                     std::move(on_delivered)]() mutable {
-    auto shared_targets =
-        std::make_shared<std::vector<ConfigTarget>>(std::move(targets));
-    for (std::size_t i = 0; i < shared_targets->size(); ++i) {
-      southbound_.transfer(
-          (*shared_targets)[i].config_bytes,
-          [i, shared_targets, on_delivered, remaining, finish] {
-            if (on_delivered) on_delivered(i, (*shared_targets)[i]);
-            if (--*remaining == 0) finish();
-          });
+  loop_.post_at(build_done, [this, round] {
+    if (round->targets.empty()) finish(*round);
+    for (std::size_t i = 0; i < round->targets.size(); ++i) {
+      southbound_.transfer(round->targets[i].config_bytes, [this, round, i] {
+        if (round->on_delivered) round->on_delivered(i, round->targets[i]);
+        if (--round->remaining == 0) finish(*round);
+      });
     }
   });
 }

@@ -4,7 +4,7 @@
 // costs: CPU to *build* per-proxy configurations (scales with proxies ×
 // config size) and southbound bandwidth to *push* them (the I/O-bound
 // step). This module models both: a shared southbound channel with finite
-// bandwidth serializes transfers FIFO and records an occupancy time series.
+// bandwidth serializes transfers FIFO and tracks its peak 1 s bandwidth.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
-#include "sim/stats.h"
+#include "sim/ring_deque.h"
 #include "sim/time.h"
 
 namespace canal::k8s {
@@ -27,16 +28,17 @@ class SouthboundChannel {
                     sim::Duration latency = sim::microseconds(500))
       : loop_(loop), bandwidth_bps_(bandwidth_bps), latency_(latency) {}
 
-  /// Queues a transfer; `done` fires when the last byte arrives.
-  void transfer(std::uint64_t bytes, std::function<void()> done = nullptr);
+  /// Queues a transfer; `done` fires `latency` after its last byte leaves
+  /// the channel. `done` is moved into that event as is, so a capture that
+  /// fits sim::Callback's inline buffer costs no allocation. One event is
+  /// posted per transfer even when `done` is empty.
+  void transfer(std::uint64_t bytes, sim::Callback done = nullptr);
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
     return total_bytes_;
   }
-  /// Bits per second moved over the trailing window ending at `now`.
-  [[nodiscard]] double occupancy_bps(sim::TimePoint now,
-                                     sim::Duration window) const;
-  /// Peak bandwidth (bps) ever observed over 1 s windows.
+  /// Peak bandwidth (bps) over any 1 s window that ends at a transfer's
+  /// last byte, counting every transfer whose last byte falls inside it.
   [[nodiscard]] double peak_bps() const noexcept { return peak_bps_; }
   /// Time the channel drains (becomes idle) for the current queue.
   [[nodiscard]] sim::TimePoint busy_until() const noexcept {
@@ -49,7 +51,15 @@ class SouthboundChannel {
   sim::Duration latency_;
   sim::TimePoint busy_until_ = 0;
   std::uint64_t total_bytes_ = 0;
-  sim::TimeSeries sent_bytes_{sim::minutes(10)};
+  // The peak window: transfers whose last byte left in [busy_until_ - 1 s,
+  // busy_until_], oldest first, and their byte total. Last-byte times never
+  // decrease (FIFO), so each transfer is pushed once and popped once.
+  struct Sent {
+    sim::TimePoint last_byte;
+    std::uint64_t bytes;
+  };
+  sim::RingDeque<Sent> window_;
+  std::uint64_t window_bytes_ = 0;
   double peak_bps_ = 0.0;
 };
 
@@ -105,6 +115,11 @@ class Controller {
   }
 
  private:
+  // One push round's state, shared by the build event and every target's
+  // delivery event (each captures only the pointer and its index).
+  struct Round;
+  void finish(const Round& round);
+
   sim::EventLoop& loop_;
   sim::CpuSet cpu_;
   SouthboundChannel& southbound_;

@@ -50,17 +50,19 @@ class EventLoop {
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedules `cb` to run at absolute time `when` (clamped to now()).
-  EventHandle schedule_at(TimePoint when, Callback cb);
+  /// The handle is the only reason to call this rather than post_at (its
+  /// liveness flag costs one allocation), hence [[nodiscard]].
+  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb);
 
   /// schedule_at reusing a caller-owned liveness flag. Repeating timers
   /// allocate their flag once and re-arm with it forever instead of paying
   /// one shared_ptr control block per tick. The flag is set true here; the
   /// loop sets it false when the event fires (or cancel() does).
-  EventHandle schedule_at(TimePoint when, Callback cb,
-                          const std::shared_ptr<bool>& alive);
+  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb,
+                                        const std::shared_ptr<bool>& alive);
 
   /// Schedules `cb` to run `delay` after now().
-  EventHandle schedule(Duration delay, Callback cb) {
+  [[nodiscard]] EventHandle schedule(Duration delay, Callback cb) {
     return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 

@@ -1,9 +1,12 @@
 // Control-plane dynamics: epoch propagation through the modeled
 // controller (build CPU + southbound bandwidth), supersede semantics for
 // overlapping pushes, stale-window bounds, rotation-schedule determinism,
-// and the southbound channel's FIFO fairness.
+// and the southbound channel's FIFO fairness and exact peak window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,78 @@ TEST(SouthboundChannel, LatencyAddsPerTransferNotPerQueue) {
   // finish; queued transfers do not pay it twice.
   EXPECT_EQ(done[0], sim::milliseconds(1) + sim::microseconds(500));
   EXPECT_EQ(done[1], sim::milliseconds(2) + sim::microseconds(500));
+}
+
+// peak_bps() is a running sum over a sliding window; it must equal, bit
+// for bit, the brute-force maximum over every transfer's inclusive
+// trailing 1 s window of last-byte times. The stream mixes same-instant
+// bursts, short gaps and idle gaps longer than the window, with sizes
+// from 1 B to several MB, on a slow and a fast channel.
+TEST(SouthboundChannel, PeakBpsEqualsBruteForceTrailingWindowMax) {
+  const sim::Duration latency = sim::microseconds(500);
+  for (const std::uint64_t bandwidth : {8'000'000ULL, 2'000'000'000ULL}) {
+    SCOPED_TRACE(bandwidth);
+    sim::EventLoop loop;
+    SouthboundChannel channel(loop, bandwidth, latency);
+    sim::Rng rng(bandwidth);
+    struct Landed {
+      sim::TimePoint last_byte;
+      std::uint64_t bytes;
+    };
+    std::vector<Landed> landed;
+    std::size_t issued = 0;
+    for (int burst = 0; burst < 60; ++burst) {
+      const auto n = rng.uniform_int(1, 40);
+      for (std::int64_t k = 0; k < n; ++k) {
+        // Log-uniform sizes: 1 B .. ~8 MB.
+        const auto bytes = static_cast<std::uint64_t>(
+            std::exp(rng.uniform(0.0, std::log(8'000'000.0))));
+        channel.transfer(bytes, [&, bytes] {
+          landed.push_back({loop.now() - latency, bytes});
+        });
+        ++issued;
+      }
+      // Either a short gap (the next burst queues behind this one) or the
+      // channel drains and then idles for longer than the window.
+      const sim::TimePoint next =
+          rng.chance(0.3)
+              ? channel.busy_until() + sim::seconds(rng.uniform(1.1, 3.0))
+              : loop.now() + sim::milliseconds(rng.uniform(0.0, 200.0));
+      loop.run_until(next);
+    }
+    loop.run();
+    ASSERT_EQ(landed.size(), issued);
+    double brute = 0.0;
+    for (const Landed& j : landed) {
+      double sum = 0.0;
+      for (const Landed& i : landed) {
+        if (i.last_byte >= j.last_byte - sim::kSecond &&
+            i.last_byte <= j.last_byte) {
+          sum += static_cast<double>(i.bytes);
+        }
+      }
+      brute = std::max(brute, sum * 8.0);
+    }
+    EXPECT_EQ(channel.peak_bps(), brute);
+  }
+}
+
+// The window is closed at its start: a transfer whose last byte lands
+// exactly 1 s after another's counts both, one nanosecond later only one.
+TEST(SouthboundChannel, PeakWindowIncludesTransferExactlyOneSecondBack) {
+  for (const sim::Duration extra : {sim::Duration{0}, sim::Duration{1}}) {
+    sim::EventLoop loop;
+    SouthboundChannel channel(loop, 8'000'000, /*latency=*/0);  // 1 MB/s
+    std::vector<sim::TimePoint> done;
+    channel.transfer(1'000, [&] { done.push_back(loop.now()); });
+    loop.post_at(sim::kSecond + extra, [&] {
+      channel.transfer(1'000, [&] { done.push_back(loop.now()); });
+    });
+    loop.run();
+    ASSERT_EQ(done.size(), 2u);
+    ASSERT_EQ(done[1] - done[0], sim::kSecond + extra);
+    EXPECT_EQ(channel.peak_bps(), extra == 0 ? 16'000.0 : 8'000.0);
+  }
 }
 
 // --- Controller -------------------------------------------------------

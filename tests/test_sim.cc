@@ -37,9 +37,9 @@ TEST(Time, FormatPicksUnit) {
 TEST(EventLoop, RunsEventsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
-  loop.schedule(microseconds(30), [&] { order.push_back(3); });
-  loop.schedule(microseconds(10), [&] { order.push_back(1); });
-  loop.schedule(microseconds(20), [&] { order.push_back(2); });
+  (void)loop.schedule(microseconds(30), [&] { order.push_back(3); });
+  (void)loop.schedule(microseconds(10), [&] { order.push_back(1); });
+  (void)loop.schedule(microseconds(20), [&] { order.push_back(2); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), microseconds(30));
@@ -49,7 +49,7 @@ TEST(EventLoop, TieBrokenByInsertionOrder) {
   EventLoop loop;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    loop.schedule(microseconds(5), [&order, i] { order.push_back(i); });
+    (void)loop.schedule(microseconds(5), [&order, i] { order.push_back(i); });
   }
   loop.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -58,8 +58,8 @@ TEST(EventLoop, TieBrokenByInsertionOrder) {
 TEST(EventLoop, RunUntilStopsAtDeadline) {
   EventLoop loop;
   int fired = 0;
-  loop.schedule(microseconds(10), [&] { ++fired; });
-  loop.schedule(microseconds(30), [&] { ++fired; });
+  (void)loop.schedule(microseconds(10), [&] { ++fired; });
+  (void)loop.schedule(microseconds(30), [&] { ++fired; });
   loop.run_until(microseconds(20));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.now(), microseconds(20));
@@ -81,8 +81,8 @@ TEST(EventLoop, CancelPreventsExecution) {
 TEST(EventLoop, NestedScheduling) {
   EventLoop loop;
   TimePoint inner_fired = -1;
-  loop.schedule(microseconds(10), [&] {
-    loop.schedule(microseconds(5), [&] { inner_fired = loop.now(); });
+  (void)loop.schedule(microseconds(10), [&] {
+    (void)loop.schedule(microseconds(5), [&] { inner_fired = loop.now(); });
   });
   loop.run();
   EXPECT_EQ(inner_fired, microseconds(15));
@@ -92,7 +92,7 @@ TEST(EventLoop, PastDeadlineClampedToNow) {
   EventLoop loop;
   loop.run_until(microseconds(100));
   TimePoint fired_at = -1;
-  loop.schedule_at(microseconds(50), [&] { fired_at = loop.now(); });
+  (void)loop.schedule_at(microseconds(50), [&] { fired_at = loop.now(); });
   loop.run();
   EXPECT_EQ(fired_at, microseconds(100));
 }
@@ -472,7 +472,7 @@ TEST_P(CpuLoadSweep, UtilizationTracksOfferedLoad) {
   while (t < seconds(10)) {
     t += static_cast<Duration>(rng.exponential(1.0 / rate_per_s) *
                                static_cast<double>(kSecond));
-    loop.schedule_at(t, [&core] { core.execute(microseconds(100)); });
+    loop.post_at(t, [&core] { core.execute(microseconds(100)); });
   }
   loop.run();
   loop.run_until(std::max<TimePoint>(loop.now(), seconds(10)));
