@@ -22,8 +22,8 @@ void AsymmetricAccelerator::submit(std::function<void()> done) {
     flush_timer_.cancel();
     flush_batch();
   } else if (!flush_timer_.pending()) {
-    flush_timer_ = loop_.schedule(model_.accel_flush_timeout,
-                                  [this] { flush_batch(); });
+    flush_timer_ =
+        loop_.post(model_.accel_flush_timeout, [this] { flush_batch(); });
   }
 }
 

@@ -220,16 +220,15 @@ void settle_attempt(const std::shared_ptr<RetryState>& st,
 void run_attempt(std::shared_ptr<RetryState> st) {
   ++st->attempt;
   const sim::TimePoint attempt_start = st->loop->now();
-  // First writer wins: either the dataplane's completion or the per-try
-  // timeout. The loser finds `*settled` set and backs off.
-  auto settled = std::make_shared<bool>(false);
-  auto timeout = std::make_shared<sim::EventHandle>();
-
+  // First to run wins: the per-try timeout or the dataplane's completion.
+  // The completion cancels the timeout; finding it already fired (no longer
+  // pending) means the attempt was abandoned. The handle's generation keeps
+  // a late completion from mistaking a later event in the same slot (say,
+  // the next attempt's timeout) for its own.
+  sim::EventHandle timeout;
   if (st->policy.per_try_timeout > 0) {
-    *timeout = st->loop->schedule(
-        st->policy.per_try_timeout, [st, settled, attempt_start]() {
-          if (*settled) return;
-          *settled = true;
+    timeout = st->loop->post(
+        st->policy.per_try_timeout, [st, attempt_start]() {
           if (st->merged) {
             // The abandoned attempt's own spans never arrive; one kRetry
             // span covers its window so the merged trace stays gapless.
@@ -246,11 +245,9 @@ void run_attempt(std::shared_ptr<RetryState> st) {
         });
   }
 
-  st->mesh->send_request(st->opts, [st, settled,
-                                    timeout](RequestResult result) {
-    if (*settled) return;  // attempt already abandoned by the timeout
-    *settled = true;
-    timeout->cancel();
+  st->mesh->send_request(st->opts, [st, timeout](RequestResult result) {
+    if (st->policy.per_try_timeout > 0 && !timeout.pending()) return;
+    timeout.cancel();
     if (result.trace) st->append_attempt_trace(*result.trace);
     st->feed_chain(result.served_by, result.status);
     settle_attempt(st, result, /*timed_out=*/false);

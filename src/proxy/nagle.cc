@@ -15,7 +15,7 @@ void NagleBuffer::write(std::uint64_t bytes) {
     emit(emit_bytes, writes);
   }
   if (buffered_bytes_ > 0 && !timer_.pending()) {
-    timer_ = loop_.schedule(timeout_, [this] { flush(); });
+    timer_ = loop_.post(timeout_, [this] { flush(); });
   }
 }
 

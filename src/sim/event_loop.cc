@@ -1,155 +1,94 @@
 #include "sim/event_loop.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace canal::sim {
 
-std::uint32_t EventLoop::acquire_slot(Callback cb,
-                                      std::shared_ptr<bool> alive) {
+EventHandle EventLoop::post_at(TimePoint when, Callback cb) {
+  if (when < now_) when = now_;
+  std::uint32_t slot;
   if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
+    slot = free_slots_.back();
     free_slots_.pop_back();
-    slab_[slot].cb = std::move(cb);
-    slab_[slot].alive = std::move(alive);
-    return slot;
+    slab_[slot] = std::move(cb);
+  } else {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(cb));
+    gens_.push_back(0);
   }
-  slab_.push_back(Event{std::move(cb), std::move(alive)});
-  return static_cast<std::uint32_t>(slab_.size() - 1);
-}
-
-void EventLoop::enqueue(TimePoint when, std::uint32_t slot) {
+  const HeapKey key{when, next_seq_++, slot, gens_[slot]};
   if (when == now_) {
     // Same-tick event: FIFO bucket, no heap sift. seq still drawn from the
     // global counter so pop order matches a pure heap exactly (see header).
-    bucket_.push_back(HeapKey{when, next_seq_++, slot});
-    return;
+    bucket_.push_back(key);
+  } else {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-  heap_.push_back(HeapKey{when, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return EventHandle(this, slot, key.gen);
 }
 
-EventHandle EventLoop::schedule_at(TimePoint when, Callback cb) {
-  if (when < now_) when = now_;
-  auto alive = std::make_shared<bool>(true);
-  enqueue(when, acquire_slot(std::move(cb), alive));
-  return EventHandle(std::move(alive));
-}
-
-EventHandle EventLoop::schedule_at(TimePoint when, Callback cb,
-                                   const std::shared_ptr<bool>& alive) {
-  if (when < now_) when = now_;
-  *alive = true;
-  enqueue(when, acquire_slot(std::move(cb), alive));
-  return EventHandle(alive);
-}
-
-void EventLoop::post_at(TimePoint when, Callback cb) {
-  if (when < now_) when = now_;
-  enqueue(when, acquire_slot(std::move(cb), nullptr));
-}
-
-bool EventLoop::pop_and_run() {
-  const HeapKey key = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  now_ = key.when;
+bool EventLoop::fire(HeapKey key) {
   // Move the payload out and recycle the slot before invoking: the callback
   // may schedule new events, which can reuse this slot or grow the slab.
-  Event& ev = slab_[key.slot];
-  Callback cb = std::move(ev.cb);
-  std::shared_ptr<bool> alive = std::move(ev.alive);
+  Callback cb = std::move(slab_[key.slot]);
   free_slots_.push_back(key.slot);
-  if (alive == nullptr) {  // fire-and-forget: cannot be cancelled
-    cb();
-    return true;
-  }
-  if (*alive) {
-    *alive = false;
-    cb();
-    return true;
-  }
-  return false;
+  if (gens_[key.slot] != key.gen) return false;  // cancelled
+  ++gens_[key.slot];
+  cb();
+  return true;
 }
 
-bool EventLoop::run_bucket_front() {
-  const HeapKey key = bucket_[bucket_cursor_++];
-  Event& ev = slab_[key.slot];
-  Callback cb = std::move(ev.cb);
-  std::shared_ptr<bool> alive = std::move(ev.alive);
-  free_slots_.push_back(key.slot);
-  if (alive == nullptr) {
-    cb();
-    return true;
-  }
-  if (*alive) {
-    *alive = false;
-    cb();
-    return true;
-  }
-  return false;
-}
-
-std::size_t EventLoop::run() {
+std::size_t EventLoop::drain(TimePoint deadline) {
   std::size_t count = 0;
   for (;;) {
-    // Heap entries keyed at now_ predate every bucket entry (smaller seq;
-    // see header), so they drain first.
-    if (!heap_.empty() && heap_.front().when <= now_) {
-      if (pop_and_run()) ++count;
-      continue;
+    if (heap_.empty() || heap_.front().when > now_) {
+      // Heap entries keyed at now_ predate every bucket entry (smaller seq;
+      // see header), so the bucket runs only once they have drained.
+      if (bucket_cursor_ < bucket_.size()) {
+        if (now_ > deadline) break;  // bucket entries run at exactly now_
+        if (fire(bucket_[bucket_cursor_++])) ++count;
+        continue;
+      }
+      if (bucket_cursor_ != 0) {
+        bucket_.clear();
+        bucket_cursor_ = 0;
+      }
+      if (heap_.empty() || heap_.front().when > deadline) break;
     }
-    if (bucket_cursor_ < bucket_.size()) {
-      if (run_bucket_front()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ != 0) {
-      bucket_.clear();
-      bucket_cursor_ = 0;
-    }
-    if (heap_.empty()) break;
-    if (pop_and_run()) ++count;  // advances now_
+    const HeapKey key = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    now_ = key.when;
+    if (fire(key)) ++count;
   }
   return count;
 }
 
+std::size_t EventLoop::run() {
+  return drain(std::numeric_limits<TimePoint>::max());
+}
+
 std::size_t EventLoop::run_until(TimePoint deadline) {
-  std::size_t count = 0;
-  for (;;) {
-    if (!heap_.empty() && heap_.front().when <= now_) {
-      if (pop_and_run()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ < bucket_.size()) {
-      if (now_ > deadline) break;  // bucket entries run at exactly now_
-      if (run_bucket_front()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ != 0) {
-      bucket_.clear();
-      bucket_cursor_ = 0;
-    }
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    if (pop_and_run()) ++count;
-  }
+  const std::size_t count = drain(deadline);
   if (now_ < deadline) now_ = deadline;
   return count;
 }
 
 void PeriodicTimer::start(Duration initial_delay) {
   stop();
-  if (alive_ == nullptr) alive_ = std::make_shared<bool>(false);
   arm(initial_delay);
 }
 
 void PeriodicTimer::arm(Duration delay) {
-  handle_ = loop_.schedule_at(
-      loop_.now() + (delay > 0 ? delay : 0),
-      [this] {
-        tick_();
-        arm(period_);
-      },
-      alive_);
+  handle_ = loop_.post(delay, [this] {
+    const EventHandle self = handle_;
+    tick_();
+    // A tick that stopped or restarted the timer has replaced handle_.
+    if (handle_ == self) arm(period_);
+  });
 }
 
 }  // namespace canal::sim

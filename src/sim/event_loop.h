@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
@@ -16,25 +16,33 @@
 
 namespace canal::sim {
 
-/// Handle used to cancel a scheduled event. Cancelling is O(1); the event
-/// stays in the heap but is skipped when popped.
+class EventLoop;
+
+/// Names one scheduled event: its slab slot plus the slot's generation at
+/// scheduling time. Firing or cancelling the event moves the generation on,
+/// so the handle goes stale exactly once and never reaches a later event
+/// that reuses the slot. Free to copy; must not outlive its loop.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevents the event from firing. Safe to call repeatedly or on a
-  /// default-constructed handle.
-  void cancel() noexcept {
-    if (alive_) *alive_ = false;
-  }
+  /// Prevents the event from firing. A no-op on a default-constructed or
+  /// stale handle, including from inside the event's own callback.
+  void cancel() const noexcept;
 
-  /// True if the event is still pending (not fired, not cancelled).
-  [[nodiscard]] bool pending() const noexcept { return alive_ && *alive_; }
+  /// True while the event is pending (not fired, not cancelled).
+  [[nodiscard]] bool pending() const noexcept;
+
+  bool operator==(const EventHandle&) const = default;
 
  private:
   friend class EventLoop;
-  explicit EventHandle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
-  std::shared_ptr<bool> alive_;
+  EventHandle(EventLoop* loop, std::uint32_t slot, std::uint32_t gen)
+      : loop_(loop), slot_(slot), gen_(gen) {}
+
+  EventLoop* loop_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;
 };
 
 /// The simulation event loop. Single-threaded and deterministic.
@@ -49,30 +57,13 @@ class EventLoop {
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
-  /// Schedules `cb` to run at absolute time `when` (clamped to now()).
-  /// The handle is the only reason to call this rather than post_at (its
-  /// liveness flag costs one allocation), hence [[nodiscard]].
-  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb);
-
-  /// schedule_at reusing a caller-owned liveness flag. Repeating timers
-  /// allocate their flag once and re-arm with it forever instead of paying
-  /// one shared_ptr control block per tick. The flag is set true here; the
-  /// loop sets it false when the event fires (or cancel() does).
-  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb,
-                                        const std::shared_ptr<bool>& alive);
+  /// Schedules `cb` to run at absolute time `when` (clamped to now()). The
+  /// handle costs nothing to make; callers that never cancel drop it.
+  EventHandle post_at(TimePoint when, Callback cb);
 
   /// Schedules `cb` to run `delay` after now().
-  [[nodiscard]] EventHandle schedule(Duration delay, Callback cb) {
-    return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
-  }
-
-  /// Fire-and-forget variant of schedule_at: no cancellation handle, so no
-  /// per-event liveness allocation. Use on hot paths that never cancel.
-  void post_at(TimePoint when, Callback cb);
-
-  /// Fire-and-forget variant of schedule().
-  void post(Duration delay, Callback cb) {
-    post_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
+  EventHandle post(Duration delay, Callback cb) {
+    return post_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
   /// Runs events until the queue empties. Returns the number of events run.
@@ -100,12 +91,19 @@ class EventLoop {
   }
 
  private:
-  // The heap sifts small (when, seq, slot) keys; the callback payloads
-  // (~10x larger, with inline capture storage) sit in a stable slab indexed
+  friend class EventHandle;
+
+  // The heap sifts small (when, seq, slot, gen) keys; the callback payloads
+  // (~5x larger, with inline capture storage) sit in a stable slab indexed
   // by `slot` and are never moved by heap operations. Slots are recycled
   // through a free list, so steady-state scheduling touches no allocator.
   // Ordering is identical to a direct heap of events: (when, seq) keys are
   // unique and insertion-ordered, so simulated behaviour is unchanged.
+  //
+  // Cancellation: gens_[slot] is bumped when the slot's event fires or is
+  // cancelled. A key whose `gen` no longer matches was cancelled; it is
+  // skipped (and its slot recycled) when popped. A slot is recycled only
+  // when its key pops, so a live key always names its own payload.
   //
   // Same-timestamp batching: an event scheduled for `now_` while the loop
   // stands at `now_` skips the heap entirely and is appended to `bucket_`,
@@ -117,15 +115,13 @@ class EventLoop {
   // heap would have produced. The win is skipping two O(log n) sifts per
   // same-tick event — the dominant class once request fan-out chains post
   // zero-delay continuations.
-  struct Event {
-    Callback cb;
-    std::shared_ptr<bool> alive;
-  };
   struct HeapKey {
     TimePoint when = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    std::uint32_t gen = 0;  // gens_[slot] when scheduled
   };
+  static_assert(sizeof(HeapKey) == 24);
   struct Later {
     bool operator()(const HeapKey& a, const HeapKey& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
@@ -133,19 +129,26 @@ class EventLoop {
     }
   };
 
-  std::uint32_t acquire_slot(Callback cb, std::shared_ptr<bool> alive);
-  void enqueue(TimePoint when, std::uint32_t slot);
-  bool pop_and_run();
-  bool run_bucket_front();
+  std::size_t drain(TimePoint deadline);
+  bool fire(HeapKey key);
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<HeapKey> heap_;
   std::vector<HeapKey> bucket_;      // FIFO of events at exactly now_
   std::size_t bucket_cursor_ = 0;    // next bucket entry to run
-  std::vector<Event> slab_;
+  std::vector<Callback> slab_;
+  std::vector<std::uint32_t> gens_;  // per-slot generation, parallel to slab_
   std::vector<std::uint32_t> free_slots_;
 };
+
+inline bool EventHandle::pending() const noexcept {
+  return loop_ != nullptr && loop_->gens_[slot_] == gen_;
+}
+
+inline void EventHandle::cancel() const noexcept {
+  if (pending()) ++loop_->gens_[slot_];
+}
 
 /// Repeating timer built on EventLoop. Fires `period` apart until stopped.
 class PeriodicTimer {
@@ -157,11 +160,16 @@ class PeriodicTimer {
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
 
-  /// Schedules the first tick `initial_delay` from now.
+  /// Schedules the first tick `initial_delay` from now, replacing any
+  /// pending one.
   void start(Duration initial_delay = 0);
 
-  /// Cancels future ticks.
-  void stop() noexcept { handle_.cancel(); }
+  /// Cancels future ticks. From inside a tick, also keeps that tick from
+  /// re-arming the timer.
+  void stop() noexcept {
+    handle_.cancel();
+    handle_ = {};
+  }
 
   [[nodiscard]] bool running() const noexcept { return handle_.pending(); }
 
@@ -172,10 +180,6 @@ class PeriodicTimer {
   Duration period_;
   std::function<void()> tick_;
   EventHandle handle_;
-  // One liveness flag for the timer's lifetime, re-armed every tick — a
-  // periodic timer would otherwise allocate a fresh control block per tick
-  // forever (see EventLoop::schedule_at's shared-alive overload).
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace canal::sim

@@ -336,6 +336,35 @@ TEST(Retry, ExhaustedAttemptsSurface504) {
   EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(result.attempts, 3u);
   EXPECT_GT(result.latency, 3 * milliseconds(25));
+
+  // Late completions: a 10 ms spike per wire crossing makes every attempt
+  // answer at ~20 ms, after its 15 ms timeout fired and while the next
+  // attempt's timeout is pending. That timeout reuses the abandoned
+  // timeout's slot (fire frees it, the backoff takes it, the backoff's
+  // firing frees it again), so only the handle's generation tells the late
+  // completion its own timeout is gone; a 200 here means it settled the
+  // request under the next attempt's feet.
+  MeshTestbed spiked;
+  sim::FaultPlan spike;
+  spike.link_latency_spike(0, sim::seconds(10), milliseconds(10));
+  mesh::NetworkProfile slow_net;
+  slow_net.faults = &spike;
+  mesh::NoMesh& slow_mesh = spiked.build_nomesh(slow_net);
+  policy.per_try_timeout = milliseconds(15);
+  policy.jitter = 0.0;  // backoffs of exactly 1 ms and 2 ms
+  int settled = 0;
+  mesh::RequestResult late;
+  slow_mesh.send_request_with_retries(
+      spiked.request_to_backend(), policy, rng, [&](mesh::RequestResult r) {
+        ++settled;
+        late = r;
+      });
+  spiked.loop.run();
+  EXPECT_EQ(settled, 1);
+  EXPECT_EQ(late.status, 504);
+  EXPECT_TRUE(late.timed_out);
+  EXPECT_EQ(late.attempts, 3u);
+  EXPECT_EQ(late.latency, 3 * milliseconds(15) + milliseconds(1 + 2));
 }
 
 TEST(Retry, BudgetCapsRetries) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -37,9 +38,9 @@ TEST(Time, FormatPicksUnit) {
 TEST(EventLoop, RunsEventsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
-  (void)loop.schedule(microseconds(30), [&] { order.push_back(3); });
-  (void)loop.schedule(microseconds(10), [&] { order.push_back(1); });
-  (void)loop.schedule(microseconds(20), [&] { order.push_back(2); });
+  loop.post(microseconds(30), [&] { order.push_back(3); });
+  loop.post(microseconds(10), [&] { order.push_back(1); });
+  loop.post(microseconds(20), [&] { order.push_back(2); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), microseconds(30));
@@ -49,7 +50,7 @@ TEST(EventLoop, TieBrokenByInsertionOrder) {
   EventLoop loop;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    (void)loop.schedule(microseconds(5), [&order, i] { order.push_back(i); });
+    loop.post(microseconds(5), [&order, i] { order.push_back(i); });
   }
   loop.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -58,8 +59,8 @@ TEST(EventLoop, TieBrokenByInsertionOrder) {
 TEST(EventLoop, RunUntilStopsAtDeadline) {
   EventLoop loop;
   int fired = 0;
-  (void)loop.schedule(microseconds(10), [&] { ++fired; });
-  (void)loop.schedule(microseconds(30), [&] { ++fired; });
+  loop.post(microseconds(10), [&] { ++fired; });
+  loop.post(microseconds(30), [&] { ++fired; });
   loop.run_until(microseconds(20));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.now(), microseconds(20));
@@ -70,7 +71,7 @@ TEST(EventLoop, RunUntilStopsAtDeadline) {
 TEST(EventLoop, CancelPreventsExecution) {
   EventLoop loop;
   int fired = 0;
-  auto handle = loop.schedule(microseconds(10), [&] { ++fired; });
+  auto handle = loop.post(microseconds(10), [&] { ++fired; });
   EXPECT_TRUE(handle.pending());
   handle.cancel();
   EXPECT_FALSE(handle.pending());
@@ -81,8 +82,8 @@ TEST(EventLoop, CancelPreventsExecution) {
 TEST(EventLoop, NestedScheduling) {
   EventLoop loop;
   TimePoint inner_fired = -1;
-  (void)loop.schedule(microseconds(10), [&] {
-    (void)loop.schedule(microseconds(5), [&] { inner_fired = loop.now(); });
+  loop.post(microseconds(10), [&] {
+    loop.post(microseconds(5), [&] { inner_fired = loop.now(); });
   });
   loop.run();
   EXPECT_EQ(inner_fired, microseconds(15));
@@ -92,9 +93,72 @@ TEST(EventLoop, PastDeadlineClampedToNow) {
   EventLoop loop;
   loop.run_until(microseconds(100));
   TimePoint fired_at = -1;
-  (void)loop.schedule_at(microseconds(50), [&] { fired_at = loop.now(); });
+  loop.post_at(microseconds(50), [&] { fired_at = loop.now(); });
   loop.run();
   EXPECT_EQ(fired_at, microseconds(100));
+}
+
+TEST(EventLoop, StaleHandleCannotReachSlotsNextEvent) {
+  // One event at a time, so every post reuses the slab's only slot. A
+  // handle to the fired (or cancelled) previous occupant must neither report
+  // the newcomer pending nor cancel it.
+  EventLoop loop;
+  int fired = 0;
+  const EventHandle fired_handle = loop.post(microseconds(1), [&] { ++fired; });
+  loop.run();
+  const EventHandle cancelled = loop.post(microseconds(1), [&] { ++fired; });
+  cancelled.cancel();
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  const EventHandle live = loop.post(microseconds(1), [&] { ++fired; });
+  for (const EventHandle& stale : {fired_handle, cancelled}) {
+    EXPECT_FALSE(stale.pending());
+    stale.cancel();
+    EXPECT_TRUE(live.pending());
+  }
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(live.pending());
+}
+
+TEST(EventLoop, CancelFromOwnCallbackIsNoOp) {
+  // By the time its callback runs, the event has fired and its slot is
+  // free: an event posted from inside the callback takes that slot, and the
+  // firing event's cancel() must not reach it.
+  EventLoop loop;
+  EventHandle self;
+  bool pending_inside = true;
+  int follow_ups = 0;
+  self = loop.post(microseconds(5), [&] {
+    pending_inside = self.pending();
+    loop.post(microseconds(5), [&] { ++follow_ups; });
+    self.cancel();
+  });
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(follow_ups, 1);
+}
+
+TEST(EventLoop, CancelledEventsCountAsPendingButNeverRun) {
+  // Cancelled keys stay queued until popped: pending_events() and
+  // next_event_time() stay lower bounds (the shard window relies on that),
+  // while run()/run_until() count only events that fire.
+  EventLoop loop;
+  int fired = 0;
+  const EventHandle same_tick = loop.post(0, [&] { ++fired; });  // bucket
+  const EventHandle early = loop.post(microseconds(10), [&] { ++fired; });
+  loop.post(microseconds(20), [&] { ++fired; });
+  same_tick.cancel();
+  early.cancel();
+  EXPECT_EQ(loop.pending_events(), 3u);
+  EXPECT_EQ(loop.next_event_time(), TimePoint{0});
+  EXPECT_EQ(loop.run_until(0), 0u);
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.next_event_time(), microseconds(10));
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.pending_events(), 0u);
+  EXPECT_EQ(loop.next_event_time(), std::nullopt);
 }
 
 TEST(PeriodicTimer, FiresAtPeriod) {
@@ -118,6 +182,39 @@ TEST(PeriodicTimer, StopHalts) {
   timer.stop();
   loop.run_until(milliseconds(100));
   EXPECT_EQ(ticks, 2);
+}
+
+TEST(PeriodicTimer, RestartInsideTickFiresOncePerPeriod) {
+  EventLoop loop;
+  std::vector<TimePoint> fires;
+  PeriodicTimer* timer = nullptr;
+  PeriodicTimer restarting(loop, milliseconds(10), [&] {
+    fires.push_back(loop.now());
+    timer->stop();
+    timer->start(milliseconds(10));
+  });
+  timer = &restarting;
+  restarting.start();
+  loop.run_until(milliseconds(45));
+  EXPECT_EQ(fires, (std::vector<TimePoint>{0, milliseconds(10),
+                                           milliseconds(20), milliseconds(30),
+                                           milliseconds(40)}));
+  EXPECT_TRUE(restarting.running());
+}
+
+TEST(PeriodicTimer, StopInsideTickHalts) {
+  EventLoop loop;
+  int ticks = 0;
+  PeriodicTimer* timer = nullptr;
+  PeriodicTimer stopping(loop, milliseconds(10), [&] {
+    if (++ticks == 3) timer->stop();
+  });
+  timer = &stopping;
+  stopping.start();
+  loop.run_until(milliseconds(100));
+  EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(stopping.running());
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(Rng, DeterministicFromSeed) {
