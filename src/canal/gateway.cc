@@ -13,8 +13,9 @@ proxy::ProxyCostModel GatewayConfig::default_replica_costs() {
   return costs;
 }
 
-// Replica cores are read by the water level, the precise scaler, the
-// pattern monitor and util_history_: they keep 5 minutes of busy history.
+// Replica cores are read by the water level, the precise scaler and
+// util_history_: they keep 5 minutes of busy history. A reader that looks
+// further back extends it (GatewayBackend::track_replica_utilization).
 GatewayReplica::GatewayReplica(sim::EventLoop& loop, net::ReplicaId id,
                                net::Ipv4Addr ip, const GatewayConfig& config,
                                sim::Rng rng)
@@ -83,6 +84,7 @@ GatewayReplica& GatewayBackend::add_replica() {
   replicas_.push_back(
       std::make_unique<GatewayReplica>(loop_, rid, ip, config_, rng_.fork()));
   GatewayReplica& replica = *replicas_.back();
+  replica.cpu().track_utilization(replica_history_);
   router_.add_member(net::Endpoint{ip, 443});
   if (config_.handshake_factory) {
     replica.engine().set_handshake_executor(config_.handshake_factory(az_));
@@ -422,6 +424,11 @@ void GatewayBackend::handle_response(GatewayReplica& replica,
   replica.engine().handle_response(tuple, bytes, std::move(done), trace);
 }
 
+void GatewayBackend::track_replica_utilization(sim::Duration window) {
+  replica_history_ = std::max(replica_history_, window);
+  for (const auto& r : replicas_) r->cpu().track_utilization(window);
+}
+
 double GatewayBackend::cpu_utilization(sim::Duration window) const {
   double sum = 0.0;
   std::size_t n = 0;
@@ -575,6 +582,7 @@ GatewayBackend& MeshGateway::add_backend(net::AzId az_id, bool is_sandbox) {
       loop_, static_cast<net::BackendId>(next_backend_++), az_id, config_,
       rng_.fork(), is_sandbox));
   GatewayBackend& backend = *az.backends.back();
+  backend.track_replica_utilization(replica_history_);
   if (is_sandbox) az.sandbox = &backend;
 
   // Refresh the shuffle-shard pool with non-sandbox backends.
@@ -618,6 +626,13 @@ GatewayBackend* MeshGateway::sandbox(net::AzId az_id) {
     add_backend(az_id, /*is_sandbox=*/true);
   }
   return az.sandbox;
+}
+
+void MeshGateway::track_replica_utilization(sim::Duration window) {
+  replica_history_ = std::max(replica_history_, window);
+  for (auto& az : azs_) {
+    for (auto& b : az.backends) b->track_replica_utilization(window);
+  }
 }
 
 ShuffleShardAssigner& MeshGateway::assigner(net::AzId az_id) {

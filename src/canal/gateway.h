@@ -199,6 +199,9 @@ class GatewayBackend {
   [[nodiscard]] bool in_service(net::ReplicaId id);
 
   // --- telemetry ------------------------------------------------------
+  /// Keeps `window` of busy history on every replica's cores, replicas
+  /// added later included (CpuCore::track_utilization). Never shrinks.
+  void track_replica_utilization(sim::Duration window);
   [[nodiscard]] double cpu_utilization(sim::Duration window) const;
   [[nodiscard]] double session_occupancy() const;
   [[nodiscard]] telemetry::ServiceStats& stats_for(net::ServiceId service);
@@ -333,6 +336,7 @@ class GatewayBackend {
   sim::TimeSeries util_history_{sim::hours(25)};
   std::unique_ptr<sim::PeriodicTimer> sampler_;
   std::uint64_t throttled_requests_ = 0;
+  sim::Duration replica_history_ = 0;  // widest track_replica_utilization
   std::uint32_t next_replica_ = 1;
   std::vector<FlowEntry> flow_cache_;
   sim::Pool<CallState> calls_;
@@ -358,6 +362,9 @@ class MeshGateway {
   [[nodiscard]] std::vector<GatewayBackend*> all_backends();
   [[nodiscard]] GatewayBackend* find_backend(net::BackendId id);
   [[nodiscard]] GatewayBackend* sandbox(net::AzId az);
+  /// GatewayBackend::track_replica_utilization on every backend, backends
+  /// added later included.
+  void track_replica_utilization(sim::Duration window);
 
   /// Places a service: shuffle-sharded local backends in `home_az` plus
   /// remote copies in every other AZ, then installs configuration.
@@ -437,6 +444,7 @@ class MeshGateway {
       placements_;
   sim::FlatHashMap<net::ServiceId, const k8s::Service*, net::IdHash>
       service_objects_;
+  sim::Duration replica_history_ = 0;  // widest track_replica_utilization
   std::uint32_t next_backend_ = 1;
   std::uint16_t next_az_ = 0;
   std::uint32_t next_vni_ = 100;

@@ -10,7 +10,9 @@ TrafficPatternMonitor::TrafficPatternMonitor(sim::EventLoop& loop,
     : loop_(loop),
       gateway_(gateway),
       config_(config),
-      planner_(config.planner) {}
+      planner_(config.planner) {
+  gateway_.track_replica_utilization(config_.utilization_window);
+}
 
 TrafficPatternMonitor::~TrafficPatternMonitor() = default;
 

@@ -21,7 +21,8 @@ struct PatternMonitorConfig {
   /// Backends below this utilization are never scattered.
   double min_source_utilization = 0.3;
   /// Window over which source utilization is judged (diurnal loads are
-  /// bursty; judge over a long window).
+  /// bursty; judge over a long window). The monitor keeps this much busy
+  /// history on every gateway replica core.
   sim::Duration utilization_window = sim::hours(1);
   InPhaseConfig planner;
 };

@@ -165,6 +165,41 @@ TEST(PatternMonitor, PeriodicEvaluationViaTimer) {
   EXPECT_FALSE(monitor.migrations().empty());
 }
 
+TEST(PatternMonitor, ReadsItsWholeWindowUnderManySmallJobs) {
+  // Replica cores keep 5 minutes of busy history for the water level. The
+  // monitor judges sources over 1 h, so it must extend that history: on the
+  // backends and replicas that exist when it is built, and on ones added
+  // after. Every replica core here runs a 50 ms job every 100 ms for
+  // 65 minutes (36,000 separate busy intervals per hour, under
+  // CpuCore::kMaxIntervals), so the 1 h read is 0.5; with 5 minutes of
+  // history it would read 0.5 * 5 / 60, about 0.04.
+  sim::EventLoop loop;
+  MeshGateway gateway{loop, GatewayConfig{}, sim::Rng(3003)};
+  const net::AzId az = gateway.add_az(1);
+  const PatternMonitorConfig config;
+  TrafficPatternMonitor monitor(loop, gateway, config);
+  gateway.add_backend(az);
+  gateway.all_backends().front()->add_replica();
+  sim::PeriodicTimer load(loop, sim::milliseconds(100), [&] {
+    for (GatewayBackend* backend : gateway.all_backends()) {
+      for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+        sim::CpuSet& cpu = backend->replica(r)->cpu();
+        for (std::size_t c = 0; c < cpu.size(); ++c) {
+          cpu.core(c).execute(sim::milliseconds(50));
+        }
+      }
+    }
+  });
+  load.start();
+  loop.run_until(sim::minutes(65));
+  load.stop();
+  ASSERT_EQ(gateway.all_backends().size(), 2u);
+  for (GatewayBackend* backend : gateway.all_backends()) {
+    EXPECT_NEAR(backend->cpu_utilization(config.utilization_window), 0.5,
+                0.01);
+  }
+}
+
 TEST(GatewayRetract, KeepsPlacementConsistent) {
   PatternWorld world;
   const auto before = world.gateway.placement_of(world.a->id).size();
