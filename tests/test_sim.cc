@@ -182,6 +182,19 @@ TEST(PeriodicTimer, StopHalts) {
   timer.stop();
   loop.run_until(milliseconds(100));
   EXPECT_EQ(ticks, 2);
+
+  // stop() from inside a tick keeps that tick from re-arming the timer.
+  int inner_ticks = 0;
+  PeriodicTimer* self = nullptr;
+  PeriodicTimer stopping(loop, milliseconds(10), [&] {
+    if (++inner_ticks == 3) self->stop();
+  });
+  self = &stopping;
+  stopping.start();
+  loop.run_until(milliseconds(200));
+  EXPECT_EQ(inner_ticks, 3);
+  EXPECT_FALSE(stopping.running());
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(PeriodicTimer, RestartInsideTickFiresOncePerPeriod) {
@@ -200,21 +213,6 @@ TEST(PeriodicTimer, RestartInsideTickFiresOncePerPeriod) {
                                            milliseconds(20), milliseconds(30),
                                            milliseconds(40)}));
   EXPECT_TRUE(restarting.running());
-}
-
-TEST(PeriodicTimer, StopInsideTickHalts) {
-  EventLoop loop;
-  int ticks = 0;
-  PeriodicTimer* timer = nullptr;
-  PeriodicTimer stopping(loop, milliseconds(10), [&] {
-    if (++ticks == 3) timer->stop();
-  });
-  timer = &stopping;
-  stopping.start();
-  loop.run_until(milliseconds(100));
-  EXPECT_EQ(ticks, 3);
-  EXPECT_FALSE(stopping.running());
-  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(Rng, DeterministicFromSeed) {
