@@ -15,9 +15,16 @@
 # per-pair values, the median and quartiles of each side and the median of
 # the per-pair change/base ratios. For metrics BENCHMARK.json gives a
 # direction, it also prints in how many pairs the change was better (ties
-# count for neither side) and whether the median gap exceeds the base's own
-# interquartile spread: the evidence a claimed gain needs. A SEED other than
-# 1 repeats the comparison on a held-out workload seed.
+# count for neither side), the median gap against the base's own
+# interquartile spread, and one verdict:
+#   better      the change is better in at least 9 of 10 pairs and its
+#               median beats the base's by more than the base's Q3-Q1;
+#   worse       the same rule, mirrored;
+#   unresolved  anything else.
+# "better" is the evidence a claimed gain needs. For metrics with a
+# BENCHMARK.json `bound` it also prints whether the median ratio stays
+# inside that bound on the worse side. A SEED other than 1 repeats the
+# comparison on a held-out workload seed.
 #
 # Exit status: 0 when every run reports "correct": true with failed == 0,
 # 1 when any run does not (or prints no result line), 2 on bad arguments.
@@ -78,6 +85,8 @@ with open(spec_path) as f:
     spec = json.load(f)
 better = {m["name"]: m["better"]
           for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+bounds = {m["name"]: m["bound"]
+          for m in spec.get("end_to_end", []) if "bound" in m}
 
 
 def quartiles(values):
@@ -116,8 +125,9 @@ for name in names:
     for i, (b, c, r) in enumerate(zip(base, change, ratios), 1):
         print("  pair %d: base %-12.6g change %-12.6g ratio %.4f" % (i, b, c, r))
     base_median, change_median = statistics.median(base), statistics.median(change)
+    ratio = statistics.median(ratios)
     print("  median: base %-12.6g change %-12.6g ratio %.4f"
-          % (base_median, change_median, statistics.median(ratios)))
+          % (base_median, change_median, ratio))
     base_q1, base_q3 = quartiles(base)
     change_q1, change_q3 = quartiles(change)
     print("  quartiles: base %.6g..%.6g change %.6g..%.6g"
@@ -125,10 +135,24 @@ for name in names:
     if name in better:
         sign = 1 if better[name] == "higher" else -1
         wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
-        ties = sum(1 for b, c in zip(base, change) if c == b)
+        losses = sum(1 for b, c in zip(base, change) if sign * (c - b) < 0)
+        gain = sign * (change_median - base_median)  # > 0: change better
+        spread = base_q3 - base_q1
         print("  change better in %d of %d pairs (%d tied, %s is better);"
               " median gap %.6g vs base spread (Q3-Q1) %.6g"
-              % (wins, pairs, ties, better[name],
-                 abs(change_median - base_median), base_q3 - base_q1))
+              % (wins, pairs, pairs - wins - losses, better[name],
+                 abs(gain), spread))
+        verdict = "unresolved"
+        if 10 * wins >= 9 * pairs and gain > spread:
+            verdict = "better"
+        elif 10 * losses >= 9 * pairs and -gain > spread:
+            verdict = "worse"
+        print("  verdict: %s" % verdict)
+        if name in bounds:
+            limit = 1 - sign * bounds[name]
+            inside = sign * (ratio - limit) >= 0
+            print("  bound %g: median ratio %.4f is %s (limit %.4f)"
+                  % (bounds[name], ratio,
+                     "inside" if inside else "OUTSIDE", limit))
 sys.exit(0 if ok else 1)
 EOF
