@@ -26,9 +26,15 @@
 # inside that bound on the worse side. A SEED other than 1 repeats the
 # comparison on a held-out workload seed.
 #
+# The last stdout line is one JSON summary: "correct" (every run reported
+# "correct": true with failed == 0) and, per end-to-end metric, its
+# "median_ratio" (change/base) and, where BENCHMARK.json gives a direction,
+# "wins", "losses" and "verdict".
+#
 # Exit status: 0 when every run reports "correct": true with failed == 0,
 # 1 when any run does not (or prints no result line), 2 on bad arguments.
-# It is a measuring tool, not a gate: no ratio fails it.
+# No ratio fails it: scripts/check.sh's perf A/B gate applies its 10% rule
+# to the summary line's median ratios.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 5 ]]; then
@@ -117,6 +123,8 @@ print("workload %s, seed %s, base %s, %d pairs (alternating which side runs"
       " first)" % (workload, seed, base_ref, pairs))
 names = [n for n in runs["base"][0]
          if all(n in m for side in runs.values() for m in side)]
+summary = {"workload": workload, "seed": int(seed), "base": base_ref,
+           "pairs": pairs, "correct": ok, "metrics": {}}
 for name in names:
     base = [m[name]["value"] for m in runs["base"]]
     change = [m[name]["value"] for m in runs["change"]]
@@ -128,6 +136,7 @@ for name in names:
     ratio = statistics.median(ratios)
     print("  median: base %-12.6g change %-12.6g ratio %.4f"
           % (base_median, change_median, ratio))
+    summary["metrics"][name] = {"median_ratio": ratio}
     base_q1, base_q3 = quartiles(base)
     change_q1, change_q3 = quartiles(change)
     print("  quartiles: base %.6g..%.6g change %.6g..%.6g"
@@ -148,11 +157,14 @@ for name in names:
         elif 10 * losses >= 9 * pairs and -gain > spread:
             verdict = "worse"
         print("  verdict: %s" % verdict)
+        summary["metrics"][name].update(
+            wins=wins, losses=losses, verdict=verdict)
         if name in bounds:
             limit = 1 - sign * bounds[name]
             inside = sign * (ratio - limit) >= 0
             print("  bound %g: median ratio %.4f is %s (limit %.4f)"
                   % (bounds[name], ratio,
                      "inside" if inside else "OUTSIDE", limit))
+print(json.dumps(summary))
 sys.exit(0 if ok else 1)
 EOF
