@@ -15,14 +15,16 @@
 #               grid at seed 1 on 8 workers. Any data race fails the gate.
 #
 # The default (Release, -O2) path also builds and runs the perfbench/
-# benchmark (one second per workload, which must report correct results
-# with no failed operation) and runs the determinism gate: the
-# bench suite is run twice in scratch dirs — once at --jobs 8, once at
-# --jobs 1 — and every BENCH_*.json either run writes must be
-# byte-identical to the committed golden of that name, and every
-# committed golden must be written. This is the hard check that (a) wall-clock
-# optimisations never change simulated results and (b) the parallel runner
-# merges results by spec key, never by completion order.
+# benchmark (region_sharded for one second, which must report correct
+# results with no failed operation), runs the perf A/B gate (the working
+# tree against HEAD on this machine, canal_steady and plane_churn, within
+# 10%) and runs the determinism gate: the bench suite is run twice in
+# scratch dirs — once at --jobs 8, once at --jobs 1 — and every
+# BENCH_*.json either run writes must be byte-identical to the committed
+# golden of that name, and every committed golden must be written. This
+# is the hard check that (a) wall-clock optimisations never change
+# simulated results and (b) the parallel runner merges results by spec
+# key, never by completion order.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -79,33 +81,33 @@ else
 
   # Benchmark-build gate: perfbench/ is its own CMake package compiling
   # ../src, and nothing above builds it, so a src/ API change could break
-  # the benchmark unnoticed. Each workload must build, run for one second
-  # at seed 1 (where run.py also pins region_sharded to BENCH_region.json)
-  # and report correct results with no failed operation on its last line.
-  for workload in canal_steady plane_churn region_sharded; do
-    last="$(cd "${repo_root}" && python3 perfbench/run.py \
-      --workload "${workload}" --seed 1 --seconds 1 --trace 0 \
-      2> /dev/null | tail -n 1)" || true
-    if ! python3 -c 'import json, sys
+  # the benchmark unnoticed. region_sharded must build, run for one second
+  # at seed 1 (where run.py also pins it to BENCH_region.json) and report
+  # correct results with no failed operation on its last line. The perf
+  # A/B gate below builds, runs and checks the other two workloads.
+  last="$(cd "${repo_root}" && python3 perfbench/run.py \
+    --workload region_sharded --seed 1 --seconds 1 --trace 0 \
+    2> /dev/null | tail -n 1)" || true
+  if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
-      "${last}" 2> /dev/null; then
-      echo "benchmark-build gate FAILED: perfbench ${workload} did not" \
-        "report correct results with 0 failed (last line: ${last})" >&2
-      exit 1
-    fi
-  done
-  echo "benchmark-build gate OK: perfbench builds and all three workloads" \
-    "report correct results with 0 failed"
+    "${last}" 2> /dev/null; then
+    echo "benchmark-build gate FAILED: perfbench region_sharded did not" \
+      "report correct results with 0 failed (last line: ${last})" >&2
+    exit 1
+  fi
+  echo "benchmark-build gate OK: perfbench builds and region_sharded" \
+    "reports correct results with 0 failed"
 
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
   # run must both reproduce the committed goldens byte-for-byte: every
   # BENCH_*.json a run writes must equal the committed file of that name,
   # and every committed BENCH_*.json must be written. Keys under the
-  # reserved "wall." prefix (selfperf's wall-clock readings:
-  # wall.events_per_sec_per_core and friends) are machine-load-dependent
-  # by design and are stripped before diffing; everything else — including
-  # the deterministic selfperf allocation counters — must match exactly.
+  # reserved "wall." prefix (region_scale's wall-clock and shard busy-time
+  # readings; region_scale is the only scenario that writes them) are
+  # machine-load-dependent by design and are stripped before diffing;
+  # everything else — including the deterministic selfperf allocation
+  # counters — must match exactly.
   for suite_jobs in 8 1; do
     scratch="$(mktemp -d)"
     (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
@@ -133,34 +135,42 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
   echo "determinism gate OK: bench_suite --jobs 8 and --jobs 1 both match" \
     "all committed goldens"
 
-  # Selfperf regression gate: the simulator may not get slower. A serial,
-  # uncontended selfperf pass (median of --repeat 3 to damp scheduler
-  # noise) must stay within 10% of every committed
-  # wall.events_per_sec_per_core — the perf trajectory the memory/layout
-  # work bought is a guarded artifact, like the simulated goldens.
-  scratch="$(mktemp -d)"
-  (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
-    --jobs 1 --filter selfperf --repeat 3 --json > /dev/null)
-  extract_rate() {
-    awk -F': ' '/"wall\.events_per_sec_per_core":/ {
-      gsub(/[ ,]/, "", $2); print $2
-    }' "$1"
-  }
-  if ! paste <(extract_rate "${scratch}/BENCH_selfperf.json") \
-             <(extract_rate "${repo_root}/BENCH_selfperf.json") | \
-    awk '{ if ($1 + 0 < 0.9 * ($2 + 0)) {
-             printf "selfperf variant #%d: %g events/sec/core < 90%% of committed %g\n", NR, $1, $2
-             fail = 1
-           } }
-         END { exit fail }' >&2
-  then
-    echo "selfperf regression gate FAILED: events_per_sec_per_core dropped" \
-      ">10% below the committed BENCH_selfperf.json golden" >&2
-    exit 1
-  fi
-  rm -rf "${scratch}"
-  echo "selfperf regression gate OK: events_per_sec_per_core within 10% of" \
-    "the committed golden on every variant"
+  # Perf A/B gate: the simulator may not get slower. perfbench_ab.sh runs
+  # the working tree against HEAD on this machine, in pairs that alternate
+  # which side runs first: before a commit that compares the change with
+  # its parent; on a clean tree it is an A/A run. On every gated workload
+  # the median paired req_per_s ratio must stay >= 0.9, the cpu_us_per_req
+  # ratio <= 1/0.9, and every run must report correct results with 0
+  # failed. canal_steady and plane_churn cover canal, ambient and istio;
+  # region_sharded's single runs spread too widely for a 10% bound. The
+  # pair counts are measured (EXPERIMENTS.md "Suite self-measurement"); if
+  # the gate flakes, add pairs, never widen the bound.
+  for gated in canal_steady:5 plane_churn:8; do
+    workload="${gated%%:*}"
+    pairs="${gated##*:}"
+    echo "perf A/B gate: ${workload}, ${pairs} pairs against HEAD"
+    ab_log="$(mktemp)"
+    "${repo_root}/scripts/perfbench_ab.sh" HEAD "${workload}" "${pairs}" \
+      > "${ab_log}" 2>&1 || true
+    if ! verdict="$(python3 -c 'import json, sys
+try:
+    r = json.loads(sys.argv[1])
+    up = r["metrics"]["req_per_s"]["median_ratio"]
+    cpu = r["metrics"]["cpu_us_per_req"]["median_ratio"]
+except (ValueError, KeyError, TypeError):
+    sys.exit("no summary line")
+print("req_per_s ratio %.4f, cpu_us_per_req ratio %.4f, all runs correct: %s"
+      % (up, cpu, r["correct"]))
+sys.exit(0 if r["correct"] and up >= 0.9 and cpu <= 1 / 0.9 else 1)' \
+      "$(tail -n 1 "${ab_log}")" 2>&1)"; then
+      cat "${ab_log}" >&2
+      echo "perf A/B gate FAILED: perfbench ${workload} against HEAD:" \
+        "${verdict}" >&2
+      exit 1
+    fi
+    rm -f "${ab_log}"
+    echo "perf A/B gate OK: perfbench ${workload} against HEAD: ${verdict}"
+  done
 
   # Region shard-determinism gate: the determinism gate above already pins
   # region_scale at --shards 1 (the suite default) for both --jobs values;
