@@ -68,7 +68,7 @@ const std::vector<Family> kFamilies = {
      "reuse_total", "Fig 18: daily Reuse/New scaling events over a month",
      {{"diurnal"}}, false},
     {"selfperf", selfperf, "BENCH_selfperf.json", "", "events",
-     "simulator wall-clock speed + fastpath hit rates",
+     "simulator events, allocations + fastpath hit rates",
      {{"canal"}, {"proxyless"}, {"ambient"}, {"istio"}, {"nomesh"}}, true},
     {"throughput_knee", throughput_knee, "BENCH_throughput.json", "",
      "knee_rps", "Fig 11: P99-vs-load sweep and throughput knee",
@@ -329,10 +329,6 @@ Usage: bench_suite [flags]
                  (default 1). N <= 0 selects hardware_concurrency().
                  Output is byte-identical for every N; only wall-clock
                  (and the "wall." JSON keys) changes.
-  --repeat N     selfperf only: repeat each run N times (fresh testbed per
-                 repeat) and report the median wall-clock with variance
-                 under the "wall." JSON keys. Simulated counters are
-                 unaffected (identical across repeats).
   --seeds K      run every seed-sweeping family at seeds 1..K (default 1).
                  K > 1 adds a "<section>.seeds" block per scenario to
                  --json output with mean/p50/p95/min/max across seeds.
@@ -539,22 +535,6 @@ std::map<std::string, JsonReport> build_reports(
       }
     }
   }
-  // Acceptance record for the runner PR: wall-clock of the four retired
-  // serial binaries (bench_latency + bench_throughput + bench_faults +
-  // bench_selfperf, summed: 49 + 736 + 246 + 2056 ms) vs this suite,
-  // measured back-to-back, uncontended, at seeds=1 on the same machine.
-  // suite_critical_path_ms is the longest single run (selfperf/canal) —
-  // the suite's parallel wall-clock floor once workers >= runnable specs,
-  // i.e. what `--jobs N` converges to on a machine with >= ~5 free cores.
-  // (The CI container is 1-CPU, where --jobs N is verified byte-identical
-  // but cannot be faster; see EXPERIMENTS.md "Suite self-measurement".)
-  if (auto it = reports.find("BENCH_selfperf.json"); it != reports.end()) {
-    it->second.set("suite_baseline", "serial_binaries_wall_ms", 3087.0);
-    it->second.set("suite_baseline", "suite_jobs1_wall_ms", 3049.0);
-    it->second.set("suite_baseline", "suite_critical_path_ms", 966.0);
-    it->second.set("suite_baseline", "parallel_speedup_vs_serial_binaries",
-                   3087.0 / 966.0);
-  }
   return reports;
 }
 
@@ -562,7 +542,6 @@ int run_suite(int argc, char** argv) {
   std::size_t jobs = 1;
   std::size_t shards = 0;  // 0 = flag absent, scenario default applies
   std::uint64_t seeds = 1;
-  long long repeat = 1;
   bool json = false;
   bool list = false;
   std::string filter;
@@ -619,13 +598,6 @@ int run_suite(int argc, char** argv) {
     } else if (arg == "--seeds") {
       const long long parsed = parse_int(next_value());
       seeds = parsed <= 0 ? 1 : static_cast<std::uint64_t>(parsed);
-    } else if (arg == "--repeat") {
-      repeat = parse_int(next_value());
-      if (repeat <= 0) {
-        std::fprintf(stderr, "--repeat: want a positive count, got %lld\n%s",
-                     repeat, usage().c_str());
-        return 2;
-      }
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--filter") {
@@ -669,17 +641,6 @@ int run_suite(int argc, char** argv) {
     runner.register_scenario(family.name, family.run);
   }
   std::vector<runner::RunSpec> specs = suite_specs(seeds);
-  if (repeat > 1) {
-    // Wall-clock repeats only make sense for the scenario that measures
-    // wall-clock; every other scenario is invariant in everything --repeat
-    // could change.
-    for (auto& spec : specs) {
-      if (spec.scenario == "selfperf") {
-        spec.overrides.emplace_back("repeat",
-                                    static_cast<double>(repeat));
-      }
-    }
-  }
   if (shards > 0) {
     // Shard-count only shapes wall-clock, and only region_scale hosts a
     // sharded simulation; everything else ignores the flag.

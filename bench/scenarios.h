@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -859,14 +858,11 @@ inline runner::RunResult resilience_ratelimit(const runner::RunSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// selfperf — how fast the SIMULATOR itself runs (wall-clock), as opposed to
-// every other scenario, which measures the simulated systems. Simulated
-// counters (requests, events, fastpath hits, heap allocations) are
-// deterministic and byte-diffed golden material; wall-clock readings vary
-// with machine load and go into the JSON under the reserved "wall." key
-// prefix, which the determinism gate strips before diffing (they are still
-// committed, so the perf trajectory — wall.events_per_sec_per_core — is
-// visible in history and anchors check.sh's regression gate).
+// selfperf — the simulator's own work per request, as opposed to every
+// other scenario, which measures the simulated systems: events, fastpath
+// hits and heap allocations of a pinned-flow drain. Every counter is
+// deterministic and byte-diffed golden material. The simulator's speed is
+// measured by perfbench (perfbench/README.md), not here.
 
 namespace detail {
 
@@ -874,7 +870,6 @@ struct SelfPerfCounters {
   std::uint64_t requests = 0;
   std::uint64_t ok = 0;
   std::uint64_t events = 0;
-  double wall_ms = 0.0;
   double sim_seconds = 0.0;
   std::uint64_t fastpath_hits = 0;
   std::uint64_t fastpath_misses = 0;
@@ -901,7 +896,6 @@ inline SelfPerfCounters drive_pinned(core::Topology& bed,
       static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
   const auto count =
       static_cast<std::uint64_t>(sim::to_seconds(duration) * rps);
-  const auto wall_start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < count; ++i) {
     bed.loop.post_at(
         sim_start + static_cast<sim::Duration>(i) * spacing,
@@ -921,13 +915,10 @@ inline SelfPerfCounters drive_pinned(core::Topology& bed,
   // while the event loop runs the whole workload. A run executes on one
   // thread, so the thread-local counter delta isolates it even under the
   // parallel runner; the count is a pure function of the code path and is
-  // golden material (unlike wall-clock).
+  // golden material.
   const std::uint64_t allocs_before = sim::alloc_count();
   result.events = bed.loop.run();
   result.allocs = sim::alloc_count() - allocs_before;
-  const auto wall_end = std::chrono::steady_clock::now();
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       wall_end - wall_start).count();
   result.sim_seconds = sim::to_seconds(bed.loop.now() - sim_start);
   if (probe) {
     const auto after = probe();
@@ -954,14 +945,7 @@ inline runner::RunResult selfperf(const runner::RunSpec& spec) {
   const double rps = spec.override_or("rps", 2000.0);
   const auto duration = static_cast<sim::Duration>(
       spec.override_or("duration_s", 10.0) * sim::kSecond);
-  // --repeat N: wall-clock readings become medians over N independent
-  // runs (fresh testbed each), damping scheduler noise. Simulated
-  // counters are identical across repeats (same seed, same code path), so
-  // the deterministic metrics come from the first run.
-  const int repeats =
-      std::max(1, static_cast<int>(spec.override_or("repeat", 1.0)));
-
-  const auto run_once = [&]() -> detail::SelfPerfCounters {
+  const detail::SelfPerfCounters counters = [&] {
     core::TopologySpec options;
     options.seed = spec.seed;
     core::Topology bed(options);
@@ -1001,24 +985,7 @@ inline runner::RunResult selfperf(const runner::RunSpec& spec) {
                                   });
     }
     throw std::runtime_error("selfperf: unknown variant " + spec.variant);
-  };
-
-  const detail::SelfPerfCounters counters = run_once();
-  std::vector<double> walls = {counters.wall_ms};
-  for (int r = 1; r < repeats; ++r) walls.push_back(run_once().wall_ms);
-  std::sort(walls.begin(), walls.end());
-  const double wall_median =
-      walls.size() % 2 == 1
-          ? walls[walls.size() / 2]
-          : 0.5 * (walls[walls.size() / 2 - 1] + walls[walls.size() / 2]);
-  double wall_var = 0.0;
-  if (walls.size() > 1) {
-    double mean = 0.0;
-    for (const double w : walls) mean += w;
-    mean /= static_cast<double>(walls.size());
-    for (const double w : walls) wall_var += (w - mean) * (w - mean);
-    wall_var /= static_cast<double>(walls.size() - 1);
-  }
+  }();
 
   const std::uint64_t probes =
       counters.fastpath_hits + counters.fastpath_misses;
@@ -1043,19 +1010,6 @@ inline runner::RunResult selfperf(const runner::RunSpec& spec) {
                  ? 0.0
                  : static_cast<double>(counters.allocs) /
                        static_cast<double>(counters.requests));
-  // Wall-clock readings vary with machine load: emitted under the
-  // reserved "wall." prefix, which scripts/check.sh strips from the
-  // determinism diff. events_per_sec_per_core is the perf-trajectory
-  // headline (each run drains on exactly one worker thread, so the wall
-  // rate IS the per-core rate); the committed value also anchors the
-  // >10%-drop selfperf regression gate.
-  result.set("wall.repeats", static_cast<double>(repeats));
-  result.set("wall.wall_ms_median", wall_median);
-  result.set("wall.wall_ms_var", wall_var);
-  result.set("wall.events_per_sec_per_core",
-             wall_median <= 0.0
-                 ? 0.0
-                 : static_cast<double>(counters.events) * 1e3 / wall_median);
   return result;
 }
 
