@@ -158,7 +158,7 @@ try:
     up = r["metrics"]["req_per_s"]["median_ratio"]
     cpu = r["metrics"]["cpu_us_per_req"]["median_ratio"]
 except (ValueError, KeyError, TypeError):
-    sys.exit("no summary line")
+    sys.exit("no median ratios on the last line of perfbench_ab.sh")
 print("req_per_s ratio %.4f, cpu_us_per_req ratio %.4f, all runs correct: %s"
       % (up, cpu, r["correct"]))
 sys.exit(0 if r["correct"] and up >= 0.9 and cpu <= 1 / 0.9 else 1)' \
