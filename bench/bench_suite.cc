@@ -460,7 +460,7 @@ void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
       sweep.print();
     }
 
-    // Per-variant notes (sweep traces, wall-clock readings).
+    // Per-variant notes (sweep traces, timeline events, labels).
     for (const auto& group : groups) {
       if (group.runs.front()->spec.scenario != family) continue;
       const runner::Outcome* base = group.base();
