@@ -26,8 +26,8 @@
 # inside that bound on the worse side. A SEED other than 1 repeats the
 # comparison on a held-out workload seed.
 #
-# The last stdout line is one JSON summary: "correct" (every run reported
-# "correct": true with failed == 0) and, per end-to-end metric, its
+# The last stdout line is one JSON summary: the "workload", "correct"
+# (every run reported "correct": true with failed == 0) and, per metric, its
 # "median_ratio" (change/base) and, where BENCHMARK.json gives a direction,
 # "wins", "losses" and "verdict".
 #
@@ -123,8 +123,7 @@ print("workload %s, seed %s, base %s, %d pairs (alternating which side runs"
       " first)" % (workload, seed, base_ref, pairs))
 names = [n for n in runs["base"][0]
          if all(n in m for side in runs.values() for m in side)]
-summary = {"workload": workload, "seed": int(seed), "base": base_ref,
-           "pairs": pairs, "correct": ok, "metrics": {}}
+summary = {"workload": workload, "correct": ok, "metrics": {}}
 for name in names:
     base = [m[name]["value"] for m in runs["base"]]
     change = [m[name]["value"] for m in runs["change"]]
